@@ -18,7 +18,6 @@ from .orders import (
     is_subsequence,
     multiset_leq,
     multiset_subset,
-    named_wqo_names,
     parse_wqo_name,
     rel,
     rel_bag,
@@ -39,11 +38,11 @@ from .signature import (
     TraversalString,
     TraversalSymbol,
     Tree,
-    build_tree,
     constructor_bag,
     constructor_set,
     default_signature,
     euler_traversal,
+    iter_trees,
     load_trees,
     parse_tree,
     pre_traversal,
@@ -54,6 +53,6 @@ from .signature import (
     tree_equal,
     tree_hash,
 )
-from .whistle import NaiveChecker, PushOutcome, SequenceChecker, new_checker
+from .whistle import NaiveChecker, PushOutcome, SequenceChecker
 
 __version__ = "0.1.0"

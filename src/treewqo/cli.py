@@ -18,7 +18,7 @@ from .bench import bench_whistle
 from .census import census, hierarchy_audit, write_census_tsv
 from .generate import GeneratorConfig, generate_corpus
 from .orders import WqoSpec, all_named_specs, base_relation, parse_wqo_name
-from .signature import ParseError, Signature, default_signature, parse_tree
+from .signature import ParseError, Signature, default_signature, iter_trees, parse_tree
 from .whistle import SequenceChecker
 
 
@@ -47,19 +47,11 @@ def cmd_compare(args) -> int:
 def cmd_whistle(args) -> int:
     sig = _load_signature(args.sig)
     checker = SequenceChecker(_spec(args))
-    with open(args.stream, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                t = parse_tree(line, sig)
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            outcome = checker.push(t)
-            print(outcome)
-            if outcome.whistled:
-                return 0
+    for t in iter_trees(args.stream, sig):
+        outcome = checker.push(t)
+        print(outcome)
+        if outcome.whistled:
+            return 0
     return 1
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "WqoSpec",
     "parse_wqo_name",
     "all_named_specs",
-    "named_wqo_names",
     "cost_rank",
     "is_subsequence",
     "multiset_subset",
@@ -166,10 +165,6 @@ def all_named_specs() -> tuple[WqoSpec, ...]:
         spec = WqoSpec(frozenset(l for i, l in enumerate(LETTERS) if bits >> i & 1))
         seen.setdefault(spec.name, spec)
     return tuple(sorted(seen.values(), key=lambda s: (len(s.name), s.name)))
-
-
-def named_wqo_names() -> tuple[str, ...]:
-    return tuple(s.name for s in all_named_specs())
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +323,24 @@ def base_relation(letter: str, y_threshold: int = 2) -> Callable[[Tree, Tree], b
 
 
 @lru_cache(maxsize=256)
-def _compiled(spec: WqoSpec) -> tuple[Callable[[Tree, Tree], bool], ...]:
-    return tuple(base_relation(l, spec.y_threshold) for l in spec.evaluation_order)
+def conjunction(components: frozenset[str], y_threshold: int = 2) -> Callable[[Tree, Tree], bool]:
+    """One predicate for the intersection of the given base orders: the base
+    relations in ascending cost rank, short-circuiting on the first failure.
+    A single component is returned as its own base relation."""
+    checks = tuple(base_relation(l, y_threshold) for l in sorted(components, key=cost_rank))
+    if len(checks) == 1:
+        return checks[0]
+
+    def related(s: Tree, t: Tree) -> bool:
+        for check in checks:
+            if not check(s, t):
+                return False
+        return True
+
+    return related
 
 
 def rel(spec: WqoSpec, s: Tree, t: Tree) -> bool:
     """Combined relation: conjunction over the spec's components, evaluated
     in ascending cost rank with short-circuit on the first failure."""
-    for check in _compiled(spec):
-        if not check(s, t):
-            return False
-    return True
+    return conjunction(spec.components, spec.y_threshold)(s, t)

@@ -16,10 +16,17 @@ Traversal strings use one alphabet for both traversals: the symbol "c
 visited i times" is encoded as ``index(c) * (max_arity + 1) + i``.  A
 preorder string is then exactly the subsequence of the Euler string formed
 by the visit-0 symbols.
+
+The structural hash is Python's tuple hash of the root index and the
+children's hashes.  Int and tuple hashes are not salted, so it is stable
+across processes, but not across Python versions or platforms: it only
+serves in-memory dicts, sets and the `tree_equal` guard and must never be
+persisted.  Reproducible corpora rest on `generate.SplitMix64` instead.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -41,24 +48,13 @@ __all__ = [
     "euler_traversal",
     "tree_hash",
     "tree_equal",
-    "build_tree",
     "default_signature",
+    "iter_trees",
     "load_trees",
     "save_trees",
 ]
 
 _PROB_TOL = 1e-9
-
-# splitmix64 finalizer, used to mix structural hashes deterministically
-# (Python's own str/object hashes are salted per process).
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 class Constructor(NamedTuple):
@@ -218,16 +214,16 @@ class Tree:
         self.children = children
         n = 1
         mask = 1 << root
-        h = _mix64(root + 0x9E3779B97F4A7C15)
+        hashes = [root]
         for ch in children:
             if ch.sig is not sig and ch.sig != sig:
                 raise ValueError("child built over a different signature")
             n += ch.size
             mask |= ch.mask
-            h = _mix64(h * 0x2545F4914F6CDD1D + ch.struct_hash)
+            hashes.append(ch.struct_hash)
         self.size = n
         self.mask = mask
-        self.struct_hash = h
+        self.struct_hash = hash(tuple(hashes))
         self._bag = None
         self._pre = None
         self._eul = None
@@ -297,11 +293,6 @@ class Tree:
         return self._eul
 
 
-def build_tree(sig: Signature, name: str, children: Iterable[Tree] = ()) -> Tree:
-    """Build a node by constructor name; children must match the arity."""
-    return Tree(sig, sig.index(name), tuple(children))
-
-
 class ConstructorSet:
     """A subset of a signature's constructors, stored as a bitmask."""
 
@@ -310,9 +301,6 @@ class ConstructorSet:
     def __init__(self, sig: Signature, mask: int):
         self.sig = sig
         self.mask = mask
-
-    def __contains__(self, name: str) -> bool:
-        return bool(self.mask >> self.sig.index(name) & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstructorSet):
@@ -468,8 +456,10 @@ def euler_traversal(t: Tree) -> TraversalString:
 
 
 def tree_hash(t: Tree) -> int:
-    """Deterministic structural hash, computed bottom-up at construction.
-    Equal trees hash equal; collisions are resolved by tree_equal."""
+    """Structural hash, computed bottom-up at construction as Python's tuple
+    hash of the root and the children's hashes.  Equal trees hash equal;
+    collisions are resolved by tree_equal.  Stable across processes but not
+    across Python versions or platforms, so never persist it."""
     return t.struct_hash
 
 
@@ -493,28 +483,8 @@ def tree_equal(t: Tree, u: Tree) -> bool:
 # ---------------------------------------------------------------------------
 # term grammar:  term := NAME | NAME "(" term ("," term)* ")"
 
-_DELIMS = {"(": "lparen", ")": "rparen", ",": "comma"}
-
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DELIMS:
-            toks.append((_DELIMS[ch], ch, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _DELIMS:
-            j += 1
-        toks.append(("name", text[i:j], i))
-        i = j
-    toks.append(("eof", "", n))
-    return toks
+# one token per match; the empty match at the end of the text marks end of input
+_TOKEN = re.compile(r"[(),]|[^\s(),]+|\Z")
 
 
 def parse_tree(text: str, sig: Signature) -> Tree:
@@ -523,55 +493,50 @@ def parse_tree(text: str, sig: Signature) -> Tree:
     Raises ParseError for unknown constructors, arity mismatches (with the
     offending constructor's position) and malformed syntax.
     """
-    toks = _tokenize(text)
-    pos = 0  # token cursor
-
-    def fail(msg, at):
-        raise ParseError(f"{msg} at position {at}", at)
-
-    def leaf_or_open():
-        nonlocal pos
-        kind, val, at = toks[pos]
-        if kind != "name":
-            fail(f"expected a constructor, found {val!r}" if val else "unexpected end of input", at)
-        try:
-            cidx = sig.index(val)
-        except KeyError:
-            fail(f"unknown constructor {val!r}", at)
-        pos += 1
-        return cidx, at
-
-    def make(cidx, kids, at):
-        arity = sig.arities[cidx]
-        if len(kids) != arity:
-            fail(f"arity mismatch for {sig.names[cidx]!r}: expected {arity}, got {len(kids)}", at)
-        return Tree(sig, cidx, tuple(kids))
-
-    frames: list[tuple[int, int, list[Tree]]] = []  # (cidx, name position, children)
-    while True:
-        cidx, at = leaf_or_open()
-        if toks[pos][0] == "lparen":
-            pos += 1
-            frames.append((cidx, at, []))
-            continue
-        node = make(cidx, [], at)
-        while True:
-            if not frames:
-                kind, val, at = toks[pos]
-                if kind != "eof":
-                    fail(f"unexpected {val!r} after term", at)
-                return node
-            frames[-1][2].append(node)
-            kind, val, at = toks[pos]
-            if kind == "comma":
-                pos += 1
+    index = sig._index
+    arities = sig.arities
+    frames: list[tuple[int, int, list[Tree]]] = []  # open terms: (constructor, position, children)
+    # the term before the current token, or None where a name must come next:
+    # (constructor, position, children); children is None for a bare name,
+    # which a "(" turns into an open term
+    last = None
+    for m in _TOKEN.finditer(text):
+        tok, at = m.group(), m.start()
+        if last is None:
+            cidx = index.get(tok)
+            if cidx is None:
+                error = ("unexpected end of input" if not tok
+                         else f"expected a constructor, found {tok!r}" if tok in "(),"
+                         else f"unknown constructor {tok!r}")
                 break
-            if kind == "rparen":
-                pos += 1
-                fcidx, fat, kids = frames.pop()
-                node = make(fcidx, kids, fat)
-                continue
-            fail(f"expected ',' or ')', found {val!r}" if val else "unexpected end of input", at)
+            last = (cidx, at, None)
+            continue
+        cidx, cat, kids = last
+        if kids is None and tok == "(":
+            frames.append((cidx, cat, []))
+            last = None
+            continue
+        kids = kids or ()
+        if len(kids) != arities[cidx]:
+            error = (f"arity mismatch for {sig.names[cidx]!r}: "
+                     f"expected {arities[cidx]}, got {len(kids)}")
+            at = cat
+            break
+        node = Tree(sig, cidx, tuple(kids))
+        if not frames:
+            if not tok:
+                return node
+            error = f"unexpected {tok!r} after term"
+            break
+        frames[-1][2].append(node)
+        if tok == ",":
+            last = None
+        elif tok == ")":
+            last = frames.pop()
+        else:
+            error = f"expected ',' or ')', found {tok!r}" if tok else "unexpected end of input"
+            break
+    raise ParseError(f"{error} at position {at}", at)
 
 
 def render_tree(t: Tree) -> str:
@@ -598,19 +563,24 @@ def render_tree(t: Tree) -> str:
 # ---------------------------------------------------------------------------
 # tree files: one term per line, blank lines ignored
 
-def load_trees(path, sig: Signature) -> list[Tree]:
-    """Read a tree file; ParseError messages are prefixed with the line number."""
-    trees = []
+def iter_trees(path, sig: Signature) -> Iterator[Tree]:
+    """Yield the trees of a tree file, reading one line per tree; ParseError
+    messages are prefixed with the line number, positions are in the line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                trees.append(parse_tree(line, sig))
+                t = parse_tree(line, sig)
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}", exc.position) from None
-    return trees
+            yield t
+
+
+def load_trees(path, sig: Signature) -> list[Tree]:
+    """Read a whole tree file; see iter_trees."""
+    return list(iter_trees(path, sig))
 
 
 def save_trees(path, trees: Iterable[Tree]) -> None:

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .orders import WqoSpec, base_relation, cost_rank
+from .orders import WqoSpec, conjunction
 from .signature import Signature, Tree, repeated_mask
 
-__all__ = ["PushOutcome", "SequenceChecker", "NaiveChecker", "new_checker"]
+__all__ = ["PushOutcome", "SequenceChecker", "NaiveChecker"]
 
 
 @dataclass(frozen=True)
@@ -76,22 +76,13 @@ class _CheckerBase:
             raise ValueError("tree pushed over a different signature")
 
 
-def _scan(entries, t, checks, single):
-    """First (position, element) in entries related to t, else None; also
-    returns how many elements were examined."""
+def _scan(entries, t, related):
+    """Position of the first element in entries related to t, else None;
+    also returns how many elements were examined."""
     scanned = 0
-    if single is not None:
-        for wpos, s in entries:
-            scanned += 1
-            if single(s, t):
-                return (wpos, scanned)
-        return (None, scanned)
     for wpos, s in entries:
         scanned += 1
-        for check in checks:
-            if not check(s, t):
-                break
-        else:
+        if related(s, t):
             return (wpos, scanned)
     return (None, scanned)
 
@@ -101,16 +92,14 @@ class NaiveChecker(_CheckerBase):
     in order, with the combined relation."""
 
     def __init__(self, spec: WqoSpec):
-        self._checks = tuple(base_relation(l, spec.y_threshold)
-                             for l in spec.evaluation_order)
-        self._single = self._checks[0] if len(self._checks) == 1 else None
+        self._related = conjunction(spec.components, spec.y_threshold)
         super().__init__(spec)
 
     def push(self, t: Tree) -> PushOutcome:
         self._enter(t)
         pos = self.position
         self.position += 1
-        witness, scanned = _scan(self.admitted, t, self._checks, self._single)
+        witness, scanned = _scan(self.admitted, t, self._related)
         self.comparisons += scanned
         if witness is not None:
             return PushOutcome(pos, True, witness)
@@ -129,15 +118,14 @@ class SequenceChecker(_CheckerBase):
         if "Y" in expanded:
             k = spec.y_threshold
             self._key_parts.append(lambda t: repeated_mask(t, k))
-        residual = sorted(expanded - {"Z", "Y"}, key=cost_rank)
+        residual = expanded - {"Z", "Y"}
         if not residual:
             self._mode = "key"
-        elif residual == ["S"]:
+        elif residual == {"S"}:
             self._mode = "mono"
         else:
             self._mode = "scan"
-            self._checks = tuple(base_relation(l, spec.y_threshold) for l in residual)
-            self._single = self._checks[0] if len(self._checks) == 1 else None
+            self._related = conjunction(residual, spec.y_threshold)
         super().__init__(spec)
 
     def reset(self) -> None:
@@ -184,15 +172,10 @@ class SequenceChecker(_CheckerBase):
             return PushOutcome(pos, False)
 
         members = self._partitions.setdefault(key, [])
-        witness, scanned = _scan(members, t, self._checks, self._single)
+        witness, scanned = _scan(members, t, self._related)
         self.comparisons += scanned
         if witness is not None:
             return PushOutcome(pos, True, witness)
         members.append((pos, t))
         self.admitted.append((pos, t))
         return PushOutcome(pos, False)
-
-
-def new_checker(spec: WqoSpec, naive: bool = False) -> SequenceChecker | NaiveChecker:
-    """Fresh checker for a canonical spec."""
-    return NaiveChecker(spec) if naive else SequenceChecker(spec)

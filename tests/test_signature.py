@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -56,10 +60,28 @@ class TestParsing:
         with pytest.raises(ParseError, match="unknown constructor 'x'"):
             parse_tree("b(x)", sig)
 
-    @pytest.mark.parametrize("bad", ["", "b(", "b(a", "b(a))", "a b", "c(a,,a)", "b()", ",", "c(a a)"])
-    def test_syntax_errors(self, sig, bad):
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("bad, message, position", [
+        pytest.param(bad, message, position, id=bad) for bad, message, position in [
+            ("", "unexpected end of input", 0),
+            ("b(", "unexpected end of input", 2),
+            ("b(a", "unexpected end of input", 3),
+            ("b(a))", "unexpected ')' after term", 4),
+            ("a b", "unexpected 'b' after term", 2),
+            ("c(a,,a)", "expected a constructor, found ','", 4),
+            ("b()", "expected a constructor, found ')'", 2),
+            (",", "expected a constructor, found ','", 0),
+            ("c(a a)", "expected ',' or ')', found 'a'", 4),
+            ("c(b(a))", "arity mismatch for 'c': expected 2, got 1", 0),
+            ("b(c(a))", "arity mismatch for 'c': expected 2, got 1", 2),
+            ("b", "arity mismatch for 'b': expected 1, got 0", 0),
+            ("b(x)", "unknown constructor 'x'", 2),
+        ]
+    ])
+    def test_syntax_errors(self, sig, bad, message, position):
+        with pytest.raises(ParseError) as exc:
             parse_tree(bad, sig)
+        assert str(exc.value) == f"{message} at position {position}"
+        assert exc.value.position == position
 
     @given(t=trees())
     @settings(max_examples=200)
@@ -149,6 +171,16 @@ class TestMeasures:
         assert tree_hash(t) == tree_hash(t)
         assert tree_hash(t) == tree_hash(parse_tree("b(b(a))", sig))
 
+    def test_hash_stable_across_hash_seeds(self):
+        code = ("from treewqo import default_signature, parse_tree, tree_hash; "
+                "print(tree_hash(parse_tree('d(c(a,b(a)),a,b(b(a)))', default_signature())))")
+        outputs = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "12345")
+        ]
+        assert outputs[0] == outputs[1] != ""
+
     def test_tree_equal(self, sig, worked):
         a = parse_tree("a", sig)
         assert tree_equal(a, parse_tree("a", sig))
@@ -213,9 +245,10 @@ def test_tree_file_blank_lines_ignored(tmp_path, sig):
 
 def test_tree_file_error_carries_line(tmp_path, sig):
     path = tmp_path / "trees.txt"
-    path.write_text("a\nb(a)\nc(a)\n")
-    with pytest.raises(ParseError, match="line 3"):
+    path.write_text("a\nb(a)\nb(c(a))\n")
+    with pytest.raises(ParseError, match="line 3") as exc:
         load_trees(path, sig)
+    assert exc.value.position == 2
 
 
 def test_deep_tree_no_recursion_limit(sig):

@@ -8,7 +8,6 @@ from treewqo import (
     Tree,
     all_named_specs,
     default_signature,
-    new_checker,
     parse_tree,
     parse_wqo_name,
     random_tree,
@@ -65,10 +64,6 @@ class TestPushExamples:
         chk.push(parse_tree("a", other))
         with pytest.raises(ValueError, match="different signature"):
             chk.push(parse_tree("x", tiny))
-
-    def test_new_checker_factory(self):
-        assert isinstance(new_checker(parse_wqo_name("S")), SequenceChecker)
-        assert isinstance(new_checker(parse_wqo_name("S"), naive=True), NaiveChecker)
 
     def test_reset(self, sig):
         chk = SequenceChecker(parse_wqo_name("S"))
