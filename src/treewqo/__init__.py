@@ -3,8 +3,9 @@
 Eight base orders on trees (size, homeomorphic embedding, constructor
 set, repeated-constructor set, constructor bag, set-refined size,
 preorder-string and Euler-string subsequence), their intersections, an
-incremental "whistle" sequence checker with per-order accelerations, a
-seeded random-tree generator and a discriminative-power census.
+incremental "whistle" sequence checker pruned by the implication
+lattice, a seeded random-tree generator and a discriminative-power
+census.
 """
 
 from .bench import BenchReport, bench_whistle, monotone_stream

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generate import GeneratorConfig
-from .orders import WqoSpec, all_named_specs, base_relation, implies
+from .orders import WqoSpec, all_named_specs, base_relation, named_implications
 from .signature import Tree
 
 __all__ = ["CensusResult", "census", "AuditReport", "hierarchy_audit", "write_census_tsv"]
@@ -36,6 +36,7 @@ class CensusResult:
     corpus_size: int
     seed: int | None = None
     size_cap: int | None = None
+    y_threshold: int = 2
     matrices: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     base_matrices: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -94,6 +95,7 @@ def census(
         corpus_size=len(corpus),
         seed=config.seed if config else None,
         size_cap=config.size_cap if config else None,
+        y_threshold=y_threshold,
         matrices=matrices,
         base_matrices=base,
     )
@@ -154,7 +156,7 @@ def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> A
     if not result.matrices or not result.base_matrices:
         if corpus is None:
             raise ValueError("audit needs the census matrices or the corpus")
-        result = census(corpus, specs)
+        result = census(corpus, [WqoSpec(s.components, result.y_threshold) for s in specs])
 
     report = AuditReport()
     mats = result.matrices
@@ -162,12 +164,9 @@ def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> A
     if missing:
         raise ValueError(f"census does not cover all named orders (missing {missing})")
 
+    implication_pairs, covering_edges = named_implications()
+
     # (a) every implication, pointwise on pairs
-    implication_pairs = []
-    for s1 in specs:
-        for s2 in specs:
-            if s1.name != s2.name and implies(s1, s2):
-                implication_pairs.append((s1.name, s2.name))
     for fine, coarse in implication_pairs:
         report.implications_checked += 1
         bad = mats[fine] & ~mats[coarse]
@@ -189,20 +188,10 @@ def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> A
         report.identities[name] = bool((left == right).all())
 
     # (c) strictness on the covering edges of the implication order
-    edges = _covering_edges(implication_pairs, [s.name for s in specs])
-    for fine, coarse in edges:
+    for fine, coarse in covering_edges:
         separating = int((mats[coarse] & ~mats[fine]).sum())
         if separating:
             report.strict_verified.append((fine, coarse, separating))
         else:
             report.strict_unverified.append((fine, coarse))
     return report
-
-
-def _covering_edges(pairs: list[tuple[str, str]], names: list[str]) -> list[tuple[str, str]]:
-    below = {n: {c for f, c in pairs if f == n} for n in names}
-    edges = []
-    for fine, coarse in pairs:
-        if not any(coarse in below[mid] for mid in below[fine] if mid != coarse):
-            edges.append((fine, coarse))
-    return edges

@@ -43,6 +43,7 @@ __all__ = [
     "WqoSpec",
     "parse_wqo_name",
     "all_named_specs",
+    "named_implications",
     "cost_rank",
     "is_subsequence",
     "multiset_subset",
@@ -165,6 +166,20 @@ def all_named_specs() -> tuple[WqoSpec, ...]:
         spec = WqoSpec(frozenset(l for i, l in enumerate(LETTERS) if bits >> i & 1))
         seen.setdefault(spec.name, spec)
     return tuple(sorted(seen.values(), key=lambda s: (len(s.name), s.name)))
+
+
+@lru_cache(maxsize=1)
+def named_implications() -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """The implication order on the named orders, as (finer, coarser) name
+    pairs: every proper implication, and its covering edges, those with no
+    named order strictly between."""
+    specs = all_named_specs()
+    pairs = tuple((s1.name, s2.name) for s1 in specs for s2 in specs
+                  if s1.name != s2.name and implies(s1, s2))
+    below = {s.name: {c for f, c in pairs if f == s.name} for s in specs}
+    edges = tuple((fine, coarse) for fine, coarse in pairs
+                  if not any(coarse in below[mid] for mid in below[fine] if mid != coarse))
+    return pairs, edges
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ __all__ = [
 
 _PROB_TOL = 1e-9
 
+# a constructor name: one name token of the term grammar (see parse_tree)
+_NAME = r"[^\s(),]+"
+
 
 class Constructor(NamedTuple):
     name: str
@@ -74,8 +77,9 @@ class ParseError(ValueError):
 class Signature:
     """An ordered, finite set of constructors with fixed arities.
 
-    Names must be unique non-empty tokens free of the term-grammar
-    delimiters.  When probabilities are given they must all be given and
+    Names must be unique name tokens of the term grammar: non-empty, free
+    of whitespace (Unicode whitespace included), parentheses, commas and
+    '#'.  When probabilities are given they must all be given and
     sum to 1 (tolerance 1e-9).
     """
 
@@ -85,7 +89,8 @@ class Signature:
             raise ValueError("signature needs at least one constructor")
         seen = set()
         for c in ctors:
-            if not c.name or any(ch in c.name for ch in "(), \t\n#"):
+            # '#' starts a comment in signature files
+            if not re.fullmatch(_NAME, c.name) or "#" in c.name:
                 raise ValueError(f"bad constructor name {c.name!r}")
             if c.name in seen:
                 raise ValueError(f"duplicate constructor {c.name!r}")
@@ -484,7 +489,7 @@ def tree_equal(t: Tree, u: Tree) -> bool:
 # term grammar:  term := NAME | NAME "(" term ("," term)* ")"
 
 # one token per match; the empty match at the end of the text marks end of input
-_TOKEN = re.compile(r"[(),]|[^\s(),]+|\Z")
+_TOKEN = re.compile(rf"[(),]|{_NAME}|\Z")
 
 
 def parse_tree(text: str, sig: Signature) -> Tree:

@@ -6,20 +6,19 @@ element that is related to (at or below) the new one.  Whistled elements
 do not join the sequence, so the admitted elements always form an
 antichain under the checker's order.
 
-`SequenceChecker` picks an acceleration strategy from the spec:
-
-  * key mode    - every component maps trees into a finite set (Z and/or
-                  Y): keep a table of seen keys; a repeated key is a
-                  whistle, a fresh key is admitted with no comparisons.
-  * mono mode   - the components are Z/Y keys plus the size order (S, or
-                  M = Z & S): partition the sequence by key; within a
-                  partition admitted sizes are non-increasing, so one size
-                  comparison against the partition's last element plus a
-                  seen-tree hash table decide a push in O(1) after the
-                  O(size) measure precomputation.
-  * scan mode   - anything else: partition by whatever Z/Y keys exist and
-                  scan the partition, evaluating the remaining components
-                  cheapest-first with short-circuiting per pair.
+`SequenceChecker` decides every push by one rule read off the order
+lattice.  Trees with different `Z`/`Y` keys are unrelated, so the
+admitted trees are partitioned by the keys the spec contains.  When the
+spec implies the size order `S` (`S` and `M` themselves, and every spec
+with `P`, `E` or `H`), an earlier tree s can be related to t only when s
+equals t or s is strictly smaller: one seen-tree table decides equal
+trees, and only the strictly smaller members of t's partition are
+candidates; otherwise all its members are.  Each partition is kept in
+non-increasing size order, so the candidates are its tail, and a stream
+of non-increasing sizes only ever appends.  The candidates are then
+checked, smallest first, against the rest of the spec (its components
+less `Z`, `Y` and `S`), cheapest component first; when nothing is left,
+any candidate is a witness and no comparison is made.
 
 `NaiveChecker` is the differential-testing reference: it scans all
 admitted elements in order and applies the combined relation directly.
@@ -32,9 +31,10 @@ the position at which the witnessing element was pushed.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
-from .orders import WqoSpec, conjunction
+from .orders import WqoSpec, conjunction, implies
 from .signature import Signature, Tree, repeated_mask
 
 __all__ = ["PushOutcome", "SequenceChecker", "NaiveChecker"]
@@ -107,8 +107,15 @@ class NaiveChecker(_CheckerBase):
         return PushOutcome(pos, False)
 
 
+_SIZE = WqoSpec(frozenset("S"))
+
+
+def _neg_size(entry) -> int:
+    return -entry[1].size
+
+
 class SequenceChecker(_CheckerBase):
-    """Optimized checker; see the module docstring for the strategies."""
+    """Optimized checker; see the module docstring for the rule."""
 
     def __init__(self, spec: WqoSpec):
         expanded = spec.expanded
@@ -118,26 +125,15 @@ class SequenceChecker(_CheckerBase):
         if "Y" in expanded:
             k = spec.y_threshold
             self._key_parts.append(lambda t: repeated_mask(t, k))
-        residual = expanded - {"Z", "Y"}
-        if not residual:
-            self._mode = "key"
-        elif residual == {"S"}:
-            self._mode = "mono"
-        else:
-            self._mode = "scan"
-            self._related = conjunction(residual, spec.y_threshold)
+        self._sized = implies(spec, _SIZE)
+        residual = expanded - {"Z", "Y", "S"}
+        self._related = conjunction(residual, spec.y_threshold) if residual else None
         super().__init__(spec)
 
     def reset(self) -> None:
         super().reset()
         self._partitions: dict = {}
         self._seen_trees: dict[Tree, int] = {}
-
-    @property
-    def strategy(self) -> str:
-        """Which acceleration applies: 'key', 'mono' or 'scan', plus the
-        number of finite-key partition components."""
-        return f"{self._mode}/{len(self._key_parts)}-key"
 
     def _key(self, t: Tree):
         return tuple(part(t) for part in self._key_parts)
@@ -146,36 +142,25 @@ class SequenceChecker(_CheckerBase):
         self._enter(t)
         pos = self.position
         self.position += 1
-        key = self._key(t)
-
-        if self._mode == "key":
-            earlier = self._partitions.get(key)
-            if earlier is not None:
-                return PushOutcome(pos, True, earlier)
-            self._partitions[key] = pos
-            self.admitted.append((pos, t))
-            return PushOutcome(pos, False)
-
-        if self._mode == "mono":
+        members = self._partitions.setdefault(self._key(t), [])
+        start = 0
+        if self._sized:
             # equal trees share all keys, so one global table suffices
             dup = self._seen_trees.get(t)
             if dup is not None:
                 return PushOutcome(pos, True, dup)
-            part = self._partitions.get(key)
-            if part is not None:
-                last_pos, last_size = part
-                if last_size < t.size:
-                    return PushOutcome(pos, True, last_pos)
-            self._partitions[key] = (pos, t.size)
+            start = bisect_right(members, -t.size, key=_neg_size)
+        candidates = members[start:]
+        if candidates:
+            if self._related is None:
+                return PushOutcome(pos, True, candidates[-1][0])
+            # smallest first: a smaller tree is likelier to sit below t
+            witness, scanned = _scan(reversed(candidates), t, self._related)
+            self.comparisons += scanned
+            if witness is not None:
+                return PushOutcome(pos, True, witness)
+        insort(members, (pos, t), key=_neg_size)
+        if self._sized:
             self._seen_trees[t] = pos
-            self.admitted.append((pos, t))
-            return PushOutcome(pos, False)
-
-        members = self._partitions.setdefault(key, [])
-        witness, scanned = _scan(members, t, self._related)
-        self.comparisons += scanned
-        if witness is not None:
-            return PushOutcome(pos, True, witness)
-        members.append((pos, t))
         self.admitted.append((pos, t))
         return PushOutcome(pos, False)

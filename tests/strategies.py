@@ -21,6 +21,16 @@ def trees(draw, max_depth=4):
     return node(0)
 
 
+@st.composite
+def trees_over(draw, sig, max_depth=3):
+    """Random trees over any signature whose first constructor is nullary."""
+    def node(depth):
+        cidx = 0 if depth >= max_depth else draw(st.integers(0, len(sig) - 1))
+        return Tree(sig, cidx, tuple(node(depth + 1) for _ in range(sig.arities[cidx])))
+
+    return node(0)
+
+
 def symbol_strings(max_len=40, alphabet=6):
     return st.lists(
         st.integers(min_value=0, max_value=alphabet - 1), max_size=max_len

@@ -51,9 +51,15 @@ class TestBenchReport:
         assert lines[1] == "checker\tstream_len\tseconds\twhistles"
         assert len(lines) == 6
 
-    def test_scan_checker_tracks_naive_for_embedding(self):
-        # no acceleration exists for the embedding order: the optimized
-        # checker degenerates to the same scan, so times stay comparable
-        rep = bench_whistle(parse_wqo_name("H"), 200, 30)
-        ratio = rep.seconds("optimized", 400) / rep.seconds("naive", 400)
-        assert 0.3 < ratio < 3.0
+    @pytest.mark.parametrize("name", ["SB", "P", "E", "H", "ZP", "YZH"])
+    def test_size_implying_checkers_skip_monotone_history(self, sig, name):
+        # these orders imply S, and sizes never grow along the stream, so no
+        # admitted tree is a candidate; the naive checker compares every pair
+        stream = monotone_stream(sig, 100, 30)
+        spec = parse_wqo_name(name)
+        fast, slow = SequenceChecker(spec), NaiveChecker(spec)
+        assert [fast.push(t).whistled for t in stream] == \
+               [slow.push(t).whistled for t in stream]
+        n = len(stream)
+        assert fast.comparisons == 0
+        assert slow.comparisons == n * (n - 1) // 2

@@ -4,6 +4,8 @@ import pytest
 
 from treewqo import (
     GeneratorConfig,
+    WqoSpec,
+    all_named_specs,
     census,
     default_signature,
     generate_corpus,
@@ -92,6 +94,15 @@ class TestAudit:
         bare.matrices = {}
         report = hierarchy_audit(bare, corpus)
         assert report.ok
+
+    def test_recompute_keeps_y_threshold(self, small_corpus):
+        # the recomputed matrices must be those of the census's own Y threshold
+        corpus, cfg = small_corpus
+        result = census(corpus, [WqoSpec(s.components, 3) for s in all_named_specs()], config=cfg)
+        assert result.y_threshold == 3
+        expected = hierarchy_audit(result)
+        result.matrices = {}
+        assert hierarchy_audit(result, corpus) == expected
 
     def test_requires_full_registry(self, small_corpus):
         corpus, _ = small_corpus

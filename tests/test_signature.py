@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treewqo import (
     Constructor,
@@ -23,7 +25,7 @@ from treewqo import (
     tree_hash,
 )
 
-from .strategies import trees
+from .strategies import trees, trees_over
 
 
 def sym_str(ts):
@@ -106,6 +108,34 @@ class TestSignature:
     def test_partial_probabilities_rejected(self):
         with pytest.raises(ValueError):
             Signature([("a", 0, 0.5), ("b", 1, None)])
+
+    @pytest.mark.parametrize("name", ["x\r", "x\x0c", "x\xa0", "x\u2003", "x y", "x(", "x,", "x#", ""])
+    def test_names_outside_the_name_token_rejected(self, name):
+        with pytest.raises(ValueError, match="bad constructor name"):
+            Signature([("a", 0), (name, 1)])
+
+    # arbitrary encodable characters, mixed with every kind the grammar reserves
+    NAME_CHARS = st.one_of(st.characters(codec="utf-8"),
+                           st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028(),#"))
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_accepted_signatures_round_trip(self, data):
+        names = data.draw(st.lists(st.text(self.NAME_CHARS, min_size=1, max_size=3),
+                                   min_size=1, max_size=4, unique=True))
+        arities = [0] + data.draw(st.lists(st.integers(0, 3), min_size=len(names) - 1,
+                                           max_size=len(names) - 1))
+        try:
+            sig = Signature(list(zip(names, arities)))
+        except ValueError:
+            return  # a rejected signature has no trees to round-trip
+        forest = [data.draw(trees_over(sig)) for _ in range(3)]
+        for t in forest:
+            assert parse_tree(render_tree(t), sig) == t
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trees.txt")
+            save_trees(path, forest)
+            assert load_trees(path, sig) == forest
 
     def test_parse_file_format(self, tmp_path):
         text = "# default corpus signature\na 0 0.50\nb 1 0.20\n\nc 2 0.15\nd 3 0.15\n"
