@@ -47,22 +47,27 @@ def main() -> int:
         cfg = None
     else:
         corpus = generate_corpus(cfg)
-        if args.dump:
-            save_trees(args.dump, corpus)
     print(f"corpus: {len(corpus)} trees, "
-          f"mean size {sum(t.size for t in corpus) / len(corpus):.1f}", file=sys.stderr)
+          f"mean size {sum(t.size for t in corpus) / max(len(corpus), 1):.1f}, "
+          f"{'read' if args.corpus else 'generated'} in {time.perf_counter() - started:.2f}s",
+          file=sys.stderr)
+    if args.dump and not args.corpus:
+        save_trees(args.dump, corpus)
 
+    started = time.perf_counter()
     result = census(corpus, config=cfg)
+    census_s = time.perf_counter() - started
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_census_tsv(result, fh)
     else:
         write_census_tsv(result)
-    print(f"census of {len(result.counts)} orders in "
-          f"{time.perf_counter() - started:.1f}s", file=sys.stderr)
+    print(f"census of {len(result.counts)} orders in {census_s:.2f}s", file=sys.stderr)
 
     if not args.no_audit:
+        started = time.perf_counter()
         report = hierarchy_audit(result, corpus)
+        print(f"audit in {time.perf_counter() - started:.2f}s", file=sys.stderr)
         print(report.summary(), file=sys.stderr)
         if not report.ok:
             return 1

@@ -6,6 +6,13 @@ pairwise with their own decision procedures into boolean matrices;
 combined orders are conjunctions of their component matrices, which is
 their definition.
 
+Homeomorphic embedding (H) dominates the cost.  Its matrix is decided
+over hash-consed copies of the corpus, in which equal subtrees are one
+object, with one embedding memo for all pairs, so each distinct pair of
+subtrees is decided once per call.  The intern table and the memo live
+only as long as the call; the caller's trees are not touched, and no
+consed tree reaches the result.
+
 The audit then checks, on the raw pair sets rather than the counts:
 
   * every implication between named orders holds pointwise,
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generate import GeneratorConfig
-from .orders import WqoSpec, all_named_specs, base_relation, named_implications
+from .orders import WqoSpec, _embeds, all_named_specs, base_relation, named_implications
 from .signature import Tree
 
 __all__ = ["CensusResult", "census", "AuditReport", "hierarchy_audit", "write_census_tsv"]
@@ -44,9 +51,34 @@ class CensusResult:
         return sorted(self.counts.items(), key=lambda kv: (kv[1], kv[0]))
 
 
+def _hashcons(corpus: list[Tree]) -> list[Tree]:
+    """Copies of the corpus trees in which equal subtrees are one object.
+
+    Interns bottom-up, keyed by the root and the ids of the already interned
+    children; the caller's trees are left untouched."""
+    table: dict[tuple[int, ...], Tree] = {}
+    consed: dict[int, Tree] = {}  # id of a corpus node -> its interned copy
+    for t in corpus:
+        # reversed preorder visits every node after its children
+        for node in reversed(list(t.nodes())):
+            kids = tuple(consed[id(c)] for c in node.children)
+            key = (node.root, *map(id, kids))
+            u = table.get(key)
+            if u is None:
+                u = table[key] = Tree(node.sig, node.root, kids)
+            consed[id(node)] = u
+    return [consed[id(t)] for t in corpus]
+
+
 def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarray:
     n = len(corpus)
-    check = base_relation(letter, y_threshold)
+    if letter == "H":
+        # one embedding memo for all pairs, over subtrees made shared objects
+        corpus = _hashcons(corpus)
+        memo: dict[tuple[int, int], bool] = {}
+        check = lambda s, t: _embeds(s, t, memo)
+    else:
+        check = base_relation(letter, y_threshold)
     m = np.zeros((n, n), dtype=bool)
     for i, s in enumerate(corpus):
         row = m[i]

@@ -188,16 +188,17 @@ def named_implications() -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, 
 def is_subsequence(v, w) -> bool:
     """True iff v can be obtained from w by deleting symbols.
 
-    Single greedy left-to-right scan, O(|v| + |w|).  Accepts traversal
-    strings or any sequences of comparable symbols.
+    Single greedy left-to-right scan, O(|v| + |w|); a subsequence as long
+    as w is w itself, so equal lengths reduce to equality.  Accepts
+    traversal strings or any sequences of comparable symbols.
     """
     vc = v.codes if isinstance(v, TraversalString) else v
     wc = w.codes if isinstance(w, TraversalString) else w
     n = len(vc)
     if n == 0:
         return True
-    if n > len(wc):
-        return False
+    if n >= len(wc):
+        return n == len(wc) and tuple(vc) == tuple(wc)
     i = 0
     need = vc[0]
     for sym in wc:
@@ -268,11 +269,21 @@ def rel_embed(s: Tree, t: Tree) -> bool:
 
     s embeds into t iff the roots are equal and the children embed
     pairwise (coupling), or s embeds into some child of t (diving).
-    Decided iteratively with memoization over subtree pairs; subproblems
-    where the left subtree is larger, or uses constructors the right one
-    lacks, are refuted without recursion.
+    Decided iteratively with memoization over subtree pairs, with a fresh
+    memo for every call (a census shares one memo across the pairs of its
+    corpus instead).  H implies S, so a subproblem whose left subtree is
+    not smaller holds only when the two are equal, and one whose left
+    subtree uses constructors the right one lacks fails; both are decided
+    without recursion.
     """
-    memo: dict[tuple[int, int], bool] = {}
+    return _embeds(s, t, {})
+
+
+def _embeds(s: Tree, t: Tree, memo: dict[tuple[int, int], bool]) -> bool:
+    """The H kernel.  `memo` maps (id(a), id(b)) of subtree pairs to their
+    verdicts; a caller may share it across pairs only while every tree it
+    has seen stays alive, and equal subtrees share entries only when they
+    are one object (see census._hashcons)."""
     stack = [(s, t)]
     while stack:
         a, b = stack[-1]
@@ -280,8 +291,8 @@ def rel_embed(s: Tree, t: Tree) -> bool:
         if key in memo:
             stack.pop()
             continue
-        if a.size > b.size or a.mask & ~b.mask:
-            memo[key] = False
+        if a.size >= b.size or a.mask & ~b.mask:
+            memo[key] = a.size == b.size and tree_equal(a, b)
             stack.pop()
             continue
         pending = None

@@ -78,9 +78,9 @@ class Signature:
     """An ordered, finite set of constructors with fixed arities.
 
     Names must be unique name tokens of the term grammar: non-empty, free
-    of whitespace (Unicode whitespace included), parentheses, commas and
-    '#'.  When probabilities are given they must all be given and
-    sum to 1 (tolerance 1e-9).
+    of whitespace (Unicode whitespace included), parentheses, commas, '#'
+    and lone surrogates, which do not encode as UTF-8.  When probabilities
+    are given they must all be given and sum to 1 (tolerance 1e-9).
     """
 
     def __init__(self, constructors: Iterable[Constructor | tuple]):
@@ -89,8 +89,9 @@ class Signature:
             raise ValueError("signature needs at least one constructor")
         seen = set()
         for c in ctors:
-            # '#' starts a comment in signature files
-            if not re.fullmatch(_NAME, c.name) or "#" in c.name:
+            # '#' starts a comment in signature files, and a lone surrogate
+            # cannot be written to a UTF-8 tree file
+            if not re.fullmatch(_NAME, c.name) or re.search(r"[#\ud800-\udfff]", c.name):
                 raise ValueError(f"bad constructor name {c.name!r}")
             if c.name in seen:
                 raise ValueError(f"duplicate constructor {c.name!r}")
@@ -570,10 +571,12 @@ def render_tree(t: Tree) -> str:
 
 def iter_trees(path, sig: Signature) -> Iterator[Tree]:
     """Yield the trees of a tree file, reading one line per tree; ParseError
-    messages are prefixed with the line number, positions are in the line."""
+    messages are prefixed with the line number, positions count from the
+    start of the line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            # leading whitespace is kept, so positions count it
+            line = raw.rstrip()
             if not line:
                 continue
             try:

@@ -1,9 +1,13 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treewqo import (
     GeneratorConfig,
+    Signature,
+    Tree,
     WqoSpec,
     all_named_specs,
     census,
@@ -13,8 +17,12 @@ from treewqo import (
     parse_tree,
     parse_wqo_name,
     rel,
+    render_tree,
     write_census_tsv,
 )
+
+from .oracles import naive_embeds
+from .strategies import trees_over
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +76,59 @@ def test_matrix_spot_check(small_corpus):
     for i in idx:
         for j in idx:
             assert m[i, j] == rel(spec, corpus[i], corpus[j])
+
+
+# two constructors of every arity, so that trees of one shape differ in labels
+TWINS = Signature([("a", 0), ("e", 0), ("b", 1), ("f", 1), ("c", 2), ("g", 2)])
+
+
+def _assert_h_matches_naive(corpus):
+    m = census(corpus, [parse_wqo_name("H")]).matrices["H"]
+    for i, s in enumerate(corpus):
+        for j, t in enumerate(corpus):
+            assert m[i, j] == naive_embeds(s, t), (render_tree(s), render_tree(t))
+
+
+class TestSharedEmbeddingMemo:
+    """The H matrix is decided over hash-consed copies of the corpus with one
+    memo for the whole call; it must agree with the naive embedding."""
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_h_matrix_on_shared_subtrees(self, data):
+        forest = [data.draw(trees_over(TWINS)) for _ in range(3)]
+        duplicates = [parse_tree(render_tree(t), TWINS) for t in forest]
+        _assert_h_matches_naive(forest + duplicates + list(forest[0].nodes()))
+
+    def test_h_matrix_on_equal_size_trees(self):
+        texts = ["c(b(a),a)", "c(a,b(a))", "g(b(a),a)", "c(f(a),a)", "c(b(e),a)",
+                 "c(b(a),e)", "b(b(b(a)))", "f(c(a,a))", "c(b(a),a)"]
+        _assert_h_matches_naive([parse_tree(x, TWINS) for x in texts])
+
+    def test_deep_chains(self, sig):
+        depths = [0, 1, 7, 1000, 4999, 5000]
+        corpus = [parse_tree("b(" * k + "a" + ")" * k, sig) for k in depths]
+        m = census(corpus, [parse_wqo_name("H")]).matrices["H"]
+        assert m.tolist() == [[k <= j for j in depths] for k in depths]
+
+    def test_caller_trees_untouched(self, sig):
+        corpus = [parse_tree(x, sig) for x in ["c(b(a),a)", "b(a)", "c(b(a),a)", "d(a,b(a),a)"]]
+        before = [[id(n) for n in t.nodes()] for t in corpus]
+        kept = list(corpus)
+        result = census(corpus)
+        assert all(t is u for t, u in zip(corpus, kept)) and len(corpus) == len(kept)
+        assert [[id(n) for n in t.nodes()] for t in corpus] == before
+
+        def values(x):
+            if isinstance(x, dict):
+                for v in x.values():
+                    yield from values(v)
+            else:
+                yield x
+
+        held = list(values(vars(result)))
+        assert not any(isinstance(v, Tree) for v in held)
+        assert all(m.dtype == bool for m in [*result.matrices.values(), *result.base_matrices.values()])
 
 
 class TestAudit:

@@ -48,6 +48,11 @@ class TestSubsequence:
         assert is_subsequence(w, w)
         assert is_subsequence(w[: len(w) // 2], w)
 
+    def test_equal_lengths_mean_equality(self):
+        assert is_subsequence((1, 2, 3), (1, 2, 3))
+        assert not is_subsequence((1, 2, 3), (1, 3, 2))
+        assert is_subsequence([1, 2], (1, 2))
+
 
 class TestBagOrders:
     def test_subset_examples(self, sig):
@@ -112,6 +117,16 @@ class TestBaseRelations:
     @settings(max_examples=300)
     def test_embed_agrees_with_naive_recursion(self, s, t):
         assert rel_embed(s, t) == naive_embeds(s, t)
+
+    def test_embed_equal_size_pairs(self, sig):
+        # H implies S: trees of one size are related only when equal
+        s, t = parse_tree("c(b(a),a)", sig), parse_tree("c(a,b(a))", sig)
+        assert s.size == t.size and s.mask == t.mask
+        assert not rel_embed(s, t) and not rel_embed(t, s)
+        assert not rel_embed(parse_tree("b(b(a))", sig), parse_tree("c(a,a)", sig))
+        twin = parse_tree("c(b(a),a)", sig)
+        assert twin is not s
+        assert rel_embed(s, twin) and rel_embed(twin, s)
 
     def test_embed_deep_trees(self, sig):
         shallow = parse_tree("b(" * 2000 + "a" + ")" * 2000, sig)

@@ -109,13 +109,15 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature([("a", 0, 0.5), ("b", 1, None)])
 
-    @pytest.mark.parametrize("name", ["x\r", "x\x0c", "x\xa0", "x\u2003", "x y", "x(", "x,", "x#", ""])
+    @pytest.mark.parametrize("name", ["x\r", "x\x0c", "x\xa0", "x\u2003", "x y", "x(", "x,", "x#", "",
+                                      "x\ud800"])
     def test_names_outside_the_name_token_rejected(self, name):
         with pytest.raises(ValueError, match="bad constructor name"):
             Signature([("a", 0), (name, 1)])
 
-    # arbitrary encodable characters, mixed with every kind the grammar reserves
-    NAME_CHARS = st.one_of(st.characters(codec="utf-8"),
+    # arbitrary characters, lone surrogates included, mixed with every kind
+    # the grammar reserves
+    NAME_CHARS = st.one_of(st.characters(),
                            st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028(),#"))
 
     @given(data=st.data())
@@ -279,6 +281,11 @@ def test_tree_file_error_carries_line(tmp_path, sig):
     with pytest.raises(ParseError, match="line 3") as exc:
         load_trees(path, sig)
     assert exc.value.position == 2
+    # positions count from the start of the file's line, indentation included
+    path.write_text("a\n   b(x)\n")
+    with pytest.raises(ParseError, match="line 2: .* at position 5") as exc:
+        load_trees(path, sig)
+    assert exc.value.position == 5
 
 
 def test_deep_tree_no_recursion_limit(sig):
