@@ -136,6 +136,8 @@ def bench_whistle(spec: WqoSpec, n: int, tree_size: int = 50,
     Uses the monotone stream by default (the length-n run takes its
     prefix); pass `stream` (length >= 2n) to bench something else.
     """
+    if n < 0:
+        raise ValueError(f"stream length must be >= 0, got {n}")
     report = BenchReport(spec.name, n, tree_size)
     if n == 0:
         return report

@@ -2,9 +2,9 @@
 
 The census counts, for each order, the ordered pairs (s, t) of a corpus
 (diagonal included) with s related to t.  Base orders are evaluated
-pairwise with their own decision procedures into boolean matrices;
-combined orders are conjunctions of their component matrices, which is
-their definition.
+pairwise with their own decision procedures into boolean matrices, except
+the key orders Z and Y, which compare one key per tree; combined orders
+are conjunctions of their component matrices, which is their definition.
 
 Homeomorphic embedding (H) dominates the cost.  Its matrix is decided
 over hash-consed copies of the corpus, in which equal subtrees are one
@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generate import GeneratorConfig
-from .orders import WqoSpec, _embeds, all_named_specs, base_relation, named_implications
+from .orders import (KEY_LETTERS, WqoSpec, _embeds, all_named_specs, base_relation,
+                     named_implications, partition_key)
 from .signature import Tree
 
 __all__ = ["CensusResult", "census", "AuditReport", "hierarchy_audit", "write_census_tsv"]
@@ -72,6 +73,11 @@ def _hashcons(corpus: list[Tree]) -> list[Tree]:
 
 def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarray:
     n = len(corpus)
+    if letter in KEY_LETTERS:
+        # related iff equal keys: number the distinct keys, compare the numbers
+        key = partition_key(letter, y_threshold)
+        ids = np.unique([key(t) for t in corpus], return_inverse=True)[1]
+        return ids[:, None] == ids[None, :]
     if letter == "H":
         # one embedding memo for all pairs, over subtrees made shared objects
         corpus = _hashcons(corpus)
@@ -181,20 +187,18 @@ class AuditReport:
 def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> AuditReport:
     """Audit a census over all named orders; see the module docstring.
 
-    If the result lacks matrices (e.g. loaded from TSV) the corpus is
-    required so they can be recomputed.
+    If the result lacks a named order's matrix (a partial census, or one
+    loaded from TSV) the corpus is required so they can be recomputed.
     """
     specs = list(all_named_specs())
-    if not result.matrices or not result.base_matrices:
+    missing = [s.name for s in specs if s.name not in result.matrices]
+    if missing or not result.base_matrices:
         if corpus is None:
-            raise ValueError("audit needs the census matrices or the corpus")
+            raise ValueError(f"census does not cover all named orders (missing {missing})")
         result = census(corpus, [WqoSpec(s.components, result.y_threshold) for s in specs])
 
     report = AuditReport()
     mats = result.matrices
-    missing = [s.name for s in specs if s.name not in mats]
-    if missing:
-        raise ValueError(f"census does not cover all named orders (missing {missing})")
 
     implication_pairs, covering_edges = named_implications()
 

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: compare (one pair of terms), whistle (a tree stream file),
-census (random-corpus pair counts, optionally audited), bench (optimized
-vs naive checker timings).  Results go to stdout, diagnostics to stderr.
+census (pair counts over a generated corpus, saved with --dump, or over
+the tree file given by --corpus; --audit checks the hierarchy), bench
+(optimized vs naive checker timings).  Results go to stdout, diagnostics
+to stderr: census times its corpus, census and audit on separate lines,
+bench prints the doubling ratios.
 
 Exit codes: compare 0 related / 1 unrelated / 2 error; whistle 0 whistled
 / 1 stream exhausted / 2 error; census and bench 0 ok / 1 audit failure /
@@ -13,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .bench import bench_whistle
 from .census import census, hierarchy_audit, write_census_tsv
 from .generate import GeneratorConfig, generate_corpus
 from .orders import WqoSpec, all_named_specs, base_relation, parse_wqo_name
-from .signature import ParseError, Signature, default_signature, iter_trees, parse_tree
+from .signature import (ParseError, Signature, default_signature, iter_trees, load_trees,
+                        parse_tree, save_trees)
 from .whistle import SequenceChecker
 
 
@@ -61,12 +66,25 @@ def cmd_census(args) -> int:
         specs = [WqoSpec(s.components, args.k) for s in all_named_specs()]
     else:
         specs = [parse_wqo_name(name, args.k) for name in args.wqo.split(",")]
-    cfg = GeneratorConfig(sig, seed=args.seed, corpus_size=args.n, size_cap=args.cap)
-    corpus = generate_corpus(cfg)
+    started = time.perf_counter()
+    if args.corpus:
+        corpus, cfg = load_trees(args.corpus, sig), None
+    else:
+        cfg = GeneratorConfig(sig, seed=args.seed, corpus_size=args.n, size_cap=args.cap)
+        corpus = generate_corpus(cfg)
+    print(f"corpus of {len(corpus)} trees {'read' if args.corpus else 'generated'} "
+          f"in {time.perf_counter() - started:.2f}s", file=sys.stderr)
+    if args.dump:
+        save_trees(args.dump, corpus)
+    started = time.perf_counter()
     result = census(corpus, specs, config=cfg)
+    print(f"census of {len(result.counts)} orders in {time.perf_counter() - started:.2f}s",
+          file=sys.stderr)
     write_census_tsv(result)
     if args.audit:
+        started = time.perf_counter()
         report = hierarchy_audit(result, corpus)
+        print(f"audit in {time.perf_counter() - started:.2f}s", file=sys.stderr)
         print(report.summary(), file=sys.stderr)
         if not report.ok:
             return 1
@@ -77,6 +95,9 @@ def cmd_bench(args) -> int:
     sig = _load_signature(args.sig)
     report = bench_whistle(_spec(args), args.n, args.size, sig=sig)
     sys.stdout.write(report.to_tsv())
+    if report.rows:
+        print(f"# doubling ratios: optimized {report.ratio('optimized'):.2f}, "
+              f"naive {report.ratio('naive'):.2f}", file=sys.stderr)
     return 0
 
 
@@ -110,11 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream", help="tree file, one term per line")
     p.set_defaults(func=cmd_whistle)
 
-    p = sub.add_parser("census", help="count related pairs over a random corpus")
+    p = sub.add_parser("census", help="count related pairs over a random or given corpus")
     common(p, wqo_default="all")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=1, help="generator seed (default 1)")
     p.add_argument("--n", type=int, default=400, help="corpus size (default 400)")
     p.add_argument("--cap", type=int, default=1000, help="tree size cap (default 1000)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--corpus", metavar="PATH",
+                        help="read the corpus from a tree file instead of generating "
+                             "it; --seed, --n and --cap apply only to generation")
+    source.add_argument("--dump", metavar="PATH", help="write the generated corpus here")
     p.add_argument("--audit", action="store_true",
                    help="verify hierarchy implications, identities and strictness")
     p.set_defaults(func=cmd_census)

@@ -330,6 +330,15 @@ def _embeds(s: Tree, t: Tree, memo: dict[tuple[int, int], bool]) -> bool:
     return memo[(id(s), id(t))]
 
 
+KEY_LETTERS = frozenset("ZY")
+
+
+def partition_key(letter: str, y_threshold: int) -> Callable[[Tree], int]:
+    """The key of a key order (Z or Y): two trees are related iff their keys
+    are equal.  `t.mask` for Z, `repeated_mask(t, k)` for Y."""
+    return {"Z": lambda t: t.mask, "Y": lambda t: repeated_mask(t, y_threshold)}[letter]
+
+
 _BASE_RELS: dict[str, Callable[[Tree, Tree], bool]] = {
     "S": rel_size,
     "H": rel_embed,

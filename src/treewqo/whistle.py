@@ -34,8 +34,8 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
-from .orders import WqoSpec, conjunction, implies
-from .signature import Signature, Tree, repeated_mask
+from .orders import KEY_LETTERS, WqoSpec, conjunction, implies, partition_key
+from .signature import Signature, Tree
 
 __all__ = ["PushOutcome", "SequenceChecker", "NaiveChecker"]
 
@@ -119,14 +119,10 @@ class SequenceChecker(_CheckerBase):
 
     def __init__(self, spec: WqoSpec):
         expanded = spec.expanded
-        self._key_parts = []
-        if "Z" in expanded:
-            self._key_parts.append(lambda t: t.mask)
-        if "Y" in expanded:
-            k = spec.y_threshold
-            self._key_parts.append(lambda t: repeated_mask(t, k))
+        self._key_parts = [partition_key(l, spec.y_threshold)
+                           for l in sorted(expanded & KEY_LETTERS)]
         self._sized = implies(spec, _SIZE)
-        residual = expanded - {"Z", "Y", "S"}
+        residual = expanded - KEY_LETTERS - {"S"}
         self._related = conjunction(residual, spec.y_threshold) if residual else None
         super().__init__(spec)
 

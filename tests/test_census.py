@@ -17,6 +17,8 @@ from treewqo import (
     parse_tree,
     parse_wqo_name,
     rel,
+    rel_repeated,
+    rel_set,
     render_tree,
     write_census_tsv,
 )
@@ -76,6 +78,15 @@ def test_matrix_spot_check(small_corpus):
     for i in idx:
         for j in idx:
             assert m[i, j] == rel(spec, corpus[i], corpus[j])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_key_matrices_match_pairwise_relations(small_corpus, k):
+    # Z and Y are decided from one key per tree; every entry must agree
+    corpus, _ = small_corpus
+    base = census(corpus, [parse_wqo_name("YZ", k)]).base_matrices
+    assert base["Z"].tolist() == [[rel_set(s, t) for t in corpus] for s in corpus]
+    assert base["Y"].tolist() == [[rel_repeated(s, t, k) for t in corpus] for s in corpus]
 
 
 # two constructors of every arity, so that trees of one shape differ in labels
@@ -164,6 +175,11 @@ class TestAudit:
         expected = hierarchy_audit(result)
         result.matrices = {}
         assert hierarchy_audit(result, corpus) == expected
+
+    def test_recomputes_partial_census(self, small_corpus):
+        corpus, _ = small_corpus
+        partial = census(corpus, [parse_wqo_name("S"), parse_wqo_name("H")])
+        assert hierarchy_audit(partial, corpus).ok
 
     def test_requires_full_registry(self, small_corpus):
         corpus, _ = small_corpus

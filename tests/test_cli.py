@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -118,6 +119,29 @@ class TestCensus:
         names = {l.split("\t")[0] for l in out.splitlines()[4:]}
         assert names == {"S", "M", "H"}
 
+    def test_audit_of_partial_census(self, capsys):
+        # the audit recomputes the orders the census did not name
+        code, _, err = run(capsys, "census", "--n", "10", "--wqo", "S,H", "--audit")
+        assert code == 0 and "violations: 0" in err
+
+    def test_replay_dumped_corpus(self, capsys, tmp_path):
+        path = str(tmp_path / "c.txt")
+        _, generated, _ = run(capsys, "census", "--n", "30", "--seed", "2", "--dump", path)
+        code, replayed, _ = run(capsys, "census", "--corpus", path)
+        assert code == 0
+        assert replayed.splitlines()[:3] == ["# seed=unknown", "# corpus=30", "# cap=unknown"]
+        assert replayed.splitlines()[3:] == generated.splitlines()[3:]
+
+    def test_corpus_and_dump_refused(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--corpus", str(tmp_path / "c"), "--dump", str(tmp_path / "d")])
+        assert exc.value.code == 2 and "not allowed with" in capsys.readouterr().err
+
+    def test_stage_times_on_stderr(self, capsys):
+        _, _, err = run(capsys, "census", "--n", "20", "--audit")
+        assert re.match(r"corpus of 20 trees generated in \S+s\ncensus of 27 orders in "
+                        r"\S+s\naudit in \S+s\n", err)
+
 
 class TestBench:
     def test_zero_n(self, capsys):
@@ -129,6 +153,15 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--wqo", "S", "--n", "30", "--size", "20")
         assert code == 0
         assert len(out.splitlines()) == 6
+
+    def test_doubling_ratios_on_stderr(self, capsys):
+        code, out, err = run(capsys, "bench", "--wqo", "S", "--n", "30", "--size", "20")
+        assert code == 0 and len(out.splitlines()) == 6
+        assert re.fullmatch(r"# doubling ratios: optimized \d+\.\d\d, naive \d+\.\d\d\n", err)
+
+    def test_negative_length_exits_2(self, capsys):
+        code, out, err = run(capsys, "bench", "--wqo", "S", "--n", "-1")
+        assert (code, out) == (2, "") and "stream length must be >= 0" in err
 
 
 def test_console_entry_point():
