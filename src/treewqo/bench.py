@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from .orders import WqoSpec
-from .signature import Signature, Tree
+from .signature import Signature, Tree, default_signature
 from .whistle import NaiveChecker, SequenceChecker
 
 __all__ = ["BenchReport", "bench_whistle", "monotone_stream"]
@@ -64,6 +64,8 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
 def monotone_stream(sig: Signature, n: int, tree_size: int) -> list[Tree]:
     """n trees with pairwise-distinct bags, sizes non-increasing around
     `tree_size`; fully admitted under S and every order implying it."""
+    if tree_size < 1:
+        raise ValueError(f"tree size must be >= 1, got {tree_size}")
     nullaries = [i for i, a in enumerate(sig.arities) if a == 0]
     wrappers = [i for i, a in enumerate(sig.arities) if a > 0]
     if not nullaries or not wrappers:
@@ -129,23 +131,16 @@ def _timed_run(checker, stream: list[Tree]) -> tuple[float, int]:
 
 
 def bench_whistle(spec: WqoSpec, n: int, tree_size: int = 50,
-                  stream: list[Tree] | None = None,
                   sig: Signature | None = None) -> BenchReport:
-    """Time optimized and naive checkers on streams of length n and 2n.
-
-    Uses the monotone stream by default (the length-n run takes its
-    prefix); pass `stream` (length >= 2n) to bench something else.
-    """
+    """Time optimized and naive checkers on monotone streams of length n
+    and 2n (the length-n run takes the prefix of the longer stream)."""
     if n < 0:
         raise ValueError(f"stream length must be >= 0, got {n}")
+    # built even for n == 0, so that a bad size or signature is refused
+    stream = monotone_stream(sig or default_signature(), 2 * n, tree_size)
     report = BenchReport(spec.name, n, tree_size)
     if n == 0:
         return report
-    if stream is None:
-        from .signature import default_signature
-        stream = monotone_stream(sig or default_signature(), 2 * n, tree_size)
-    elif len(stream) < 2 * n:
-        raise ValueError("provided stream is shorter than 2n")
     _warm(stream, spec)
     for length in (n, 2 * n):
         for label, checker in (("optimized", SequenceChecker(spec)),

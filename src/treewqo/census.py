@@ -112,12 +112,9 @@ def census(
         raise ValueError("census specs must share one y_threshold")
     y_threshold = thresholds.pop() if thresholds else 2
 
-    letters = sorted({l for s in specs for l in s.components})
+    # expanded: Z and S back the audit's identity checks even when only M is named
+    letters = sorted({l for s in specs for l in s.components | s.expanded})
     base = {l: _base_matrix(l, corpus, y_threshold) for l in letters}
-    # Z and S back the audit's identity checks even when only M is named
-    for extra in "ZS":
-        if any("M" in s.components for s in specs) and extra not in base:
-            base[extra] = _base_matrix(extra, corpus, y_threshold)
 
     counts: dict[str, int] = {}
     matrices: dict[str, np.ndarray] = {}

@@ -21,22 +21,18 @@ dropped (H implies E implies P implies both B and S).  Canonicalizing all
 combinations of the eight letters yields exactly 27 distinct named orders.
 
 Combined relations are evaluated cheapest-component-first with
-short-circuiting; `cost_rank` fixes that schedule.
+short-circuiting.  `LETTERS` lists the base orders in that order, by their
+measured cost per pair, and `cost_rank(letter)` is a letter's index there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import Callable
 
-from .signature import (
-    ConstructorBag,
-    TraversalString,
-    Tree,
-    repeated_mask,
-    tree_equal,
-)
+from .signature import ConstructorBag, Tree, repeated_mask, tree_equal
 
 __all__ = [
     "LETTERS",
@@ -60,7 +56,10 @@ __all__ = [
     "implies",
 ]
 
-LETTERS = "SHZYBMPE"
+# the base orders in evaluation order for short-circuiting conjunctions:
+# ascending measured cost per pair (orders.<L>.ns_per_pair), embedding last
+LETTERS = "ZSMBYPEH"
+cost_rank = LETTERS.index
 
 # proper implications among single letters, transitively closed
 # (M is handled by expansion into Z and S, not listed here)
@@ -74,16 +73,7 @@ _IMPLIES = {
     "Y": frozenset(),
 }
 
-# schedule for short-circuit evaluation: cheap finite-key comparisons
-# first, then bags, then string scans, embedding last
-_COST_RANK = {"Z": 0, "Y": 1, "S": 2, "B": 3, "M": 4, "P": 5, "E": 6, "H": 7}
-
 _DISPLAY_ORDER = "YMZSHEPB"
-
-
-def cost_rank(letter: str) -> int:
-    """Static evaluation rank of a base order; lower runs first."""
-    return _COST_RANK[letter]
 
 
 def _expand(components: frozenset[str]) -> frozenset[str]:
@@ -129,7 +119,7 @@ class WqoSpec:
 
     @property
     def evaluation_order(self) -> tuple[str, ...]:
-        return tuple(sorted(self.components, key=_COST_RANK.__getitem__))
+        return tuple(sorted(self.components, key=cost_rank))
 
     @property
     def expanded(self) -> frozenset[str]:
@@ -189,30 +179,28 @@ def is_subsequence(v, w) -> bool:
     """True iff v can be obtained from w by deleting symbols.
 
     Single greedy left-to-right scan, O(|v| + |w|); a subsequence as long
-    as w is w itself, so equal lengths reduce to equality.  Accepts
-    traversal strings or any sequences of comparable symbols.
+    as w is w itself, so equal lengths reduce to equality.  Takes plain
+    sequences of comparable symbols, such as the traversal codes `t.pre`.
     """
-    vc = v.codes if isinstance(v, TraversalString) else v
-    wc = w.codes if isinstance(w, TraversalString) else w
-    n = len(vc)
+    n = len(v)
     if n == 0:
         return True
-    if n >= len(wc):
-        return n == len(wc) and tuple(vc) == tuple(wc)
+    if n >= len(w):
+        return n == len(w) and tuple(v) == tuple(w)
     i = 0
-    need = vc[0]
-    for sym in wc:
+    need = v[0]
+    for sym in w:
         if sym == need:
             i += 1
             if i == n:
                 return True
-            need = vc[i]
+            need = v[i]
     return False
 
 
 def multiset_subset(b1: ConstructorBag, b2: ConstructorBag) -> bool:
     """Pointwise multiset inclusion: every count in b1 is <= its count in b2."""
-    return all(x <= y for x, y in zip(b1.counts, b2.counts))
+    return all(map(le, b1.counts, b2.counts))
 
 
 def multiset_leq(b1: ConstructorBag, b2: ConstructorBag) -> bool:
@@ -242,7 +230,7 @@ def rel_repeated(s: Tree, t: Tree, k: int = 2) -> bool:
 
 def rel_bag(s: Tree, t: Tree) -> bool:
     """B: the constructor bag of s is a sub-multiset of t's."""
-    return all(x <= y for x, y in zip(s.bag.counts, t.bag.counts))
+    return all(map(le, s.bag, t.bag))
 
 
 def rel_sized_set(s: Tree, t: Tree) -> bool:
@@ -256,12 +244,12 @@ def rel_sized_set(s: Tree, t: Tree) -> bool:
 
 def rel_preorder(s: Tree, t: Tree) -> bool:
     """P: preorder string of s embeds into preorder string of t."""
-    return is_subsequence(s.pre.codes, t.pre.codes)
+    return is_subsequence(s.pre, t.pre)
 
 
 def rel_euler(s: Tree, t: Tree) -> bool:
     """E: Euler-tour string of s embeds into Euler-tour string of t."""
-    return is_subsequence(s.eul.codes, t.eul.codes)
+    return is_subsequence(s.eul, t.eul)
 
 
 def rel_embed(s: Tree, t: Tree) -> bool:

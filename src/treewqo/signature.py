@@ -7,9 +7,13 @@ children of every node must equal its constructor's declared arity.
 
 Every tree node eagerly carries the cheap bottom-up measures (size,
 constructor-set bitmask, structural hash) so that sequence checkers never
-recompute them; the heavier whole-tree measures (constructor bag, preorder
-and Euler traversal strings) are computed once on first access and cached
-on the node.  All traversals are iterative, so deep chain-shaped trees do
+recompute them; the heavier whole-tree measures are computed once on first
+access and cached on the node as plain tuples of ints: `bag` holds one
+count per constructor, `pre` and `eul` the preorder and Euler traversal
+codes.  The order kernels read these tuples directly; the measure
+functions (`constructor_bag`, `pre_traversal`, `euler_traversal`) wrap
+them in `ConstructorBag` / `TraversalString` for callers who want names
+and symbols.  All traversals are iterative, so deep chain-shaped trees do
 not hit the interpreter recursion limit.
 
 Traversal strings use one alphabet for both traversals: the symbol "c
@@ -258,7 +262,7 @@ class Tree:
             stack.extend(reversed(node.children))
 
     @property
-    def bag(self) -> "ConstructorBag":
+    def bag(self) -> tuple[int, ...]:
         if self._bag is None:
             counts = [0] * len(self.sig)
             stack = [self]
@@ -266,11 +270,11 @@ class Tree:
                 node = stack.pop()
                 counts[node.root] += 1
                 stack.extend(node.children)
-            self._bag = ConstructorBag(self.sig, tuple(counts))
+            self._bag = tuple(counts)
         return self._bag
 
     @property
-    def pre(self) -> "TraversalString":
+    def pre(self) -> tuple[int, ...]:
         if self._pre is None:
             stride = self.sig.sym_stride
             codes = []
@@ -279,11 +283,11 @@ class Tree:
                 node = stack.pop()
                 codes.append(node.root * stride)
                 stack.extend(reversed(node.children))
-            self._pre = TraversalString(self.sig, tuple(codes))
+            self._pre = tuple(codes)
         return self._pre
 
     @property
-    def eul(self) -> "TraversalString":
+    def eul(self) -> tuple[int, ...]:
         if self._eul is None:
             stride = self.sig.sym_stride
             arities = self.sig.arities
@@ -295,7 +299,7 @@ class Tree:
                 if visit < arities[node.root]:
                     stack.append((node, visit + 1))
                     stack.append((node.children[visit], 0))
-            self._eul = TraversalString(self.sig, tuple(codes))
+            self._eul = tuple(codes)
         return self._eul
 
 
@@ -418,7 +422,7 @@ class TraversalString:
 
 
 # ---------------------------------------------------------------------------
-# measures (thin functional veneer over the cached Tree attributes)
+# measures: the wrapper types over the plain cached Tree attributes
 
 def size(t: Tree) -> int:
     """Number of nodes (constructor occurrences) in t."""
@@ -439,7 +443,7 @@ def repeated_mask(t: Tree, k: int = 2) -> int:
     if k < 2:
         raise ValueError(f"repetition threshold must be >= 2, got {k}")
     mask = 0
-    for i, c in enumerate(t.bag.counts):
+    for i, c in enumerate(t.bag):
         if c >= k:
             mask |= 1 << i
     return mask
@@ -447,18 +451,18 @@ def repeated_mask(t: Tree, k: int = 2) -> int:
 
 def constructor_bag(t: Tree) -> ConstructorBag:
     """The multiset of all constructor occurrences in t."""
-    return t.bag
+    return ConstructorBag(t.sig, t.bag)
 
 
 def pre_traversal(t: Tree) -> TraversalString:
     """Constructors of t in preorder; injective over trees of one signature."""
-    return t.pre
+    return TraversalString(t.sig, t.pre)
 
 
 def euler_traversal(t: Tree) -> TraversalString:
     """Euler-tour string of t: each node is revisited between and after its
     children, emitting (constructor, visits-so-far) symbols."""
-    return t.eul
+    return TraversalString(t.sig, t.eul)
 
 
 def tree_hash(t: Tree) -> int:

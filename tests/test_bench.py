@@ -15,7 +15,7 @@ class TestMonotoneStream:
         stream = monotone_stream(sig, 500, 30)
         sizes = [t.size for t in stream]
         assert sizes == sorted(sizes, reverse=True)
-        bags = {t.bag.counts for t in stream}
+        bags = {t.bag for t in stream}
         assert len(bags) == 500
 
     @pytest.mark.parametrize("name", ["S", "M"])
@@ -24,6 +24,11 @@ class TestMonotoneStream:
         for checker in (SequenceChecker(parse_wqo_name(name)),
                         NaiveChecker(parse_wqo_name(name))):
             assert all(checker.push(t).admitted for t in stream)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_refuses_non_positive_size(self, sig, size):
+        with pytest.raises(ValueError, match=f"tree size must be >= 1, got {size}"):
+            monotone_stream(sig, 5, size)
 
     def test_needs_workable_signature(self):
         from treewqo import Signature

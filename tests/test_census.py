@@ -89,6 +89,14 @@ def test_key_matrices_match_pairwise_relations(small_corpus, k):
     assert base["Y"].tolist() == [[rel_repeated(s, t, k) for t in corpus] for s in corpus]
 
 
+def test_m_only_census_keeps_its_expansion(small_corpus):
+    # M alone still yields its expansion Z, S, which the audit's identities read
+    corpus, _ = small_corpus
+    base = census(corpus, [parse_wqo_name("M")]).base_matrices
+    assert set(base) == {"M", "Z", "S"}
+    assert (base["M"] == (base["Z"] & base["S"])).all()
+
+
 # two constructors of every arity, so that trees of one shape differ in labels
 TWINS = Signature([("a", 0), ("e", 0), ("b", 1), ("f", 1), ("c", 2), ("g", 2)])
 

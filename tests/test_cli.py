@@ -163,6 +163,11 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--wqo", "S", "--n", "-1")
         assert (code, out) == (2, "") and "stream length must be >= 0" in err
 
+    @pytest.mark.parametrize("n", ["5", "0"])
+    def test_negative_size_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "bench", "--wqo", "S", "--n", n, "--size", "-3")
+        assert (code, out) == (2, "") and "tree size must be >= 1, got -3" in err
+
 
 def test_console_entry_point():
     proc = subprocess.run(

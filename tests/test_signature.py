@@ -226,6 +226,11 @@ class TestMeasureProperties:
     @settings(max_examples=200)
     def test_size_consistency(self, t):
         assert size(t) == constructor_bag(t).total() == len(pre_traversal(t))
+        # the cached measures are plain tuples, which the measure functions wrap
+        assert all(type(m) is tuple for m in (t.bag, t.pre, t.eul))
+        assert t.bag == constructor_bag(t).counts
+        assert t.pre == pre_traversal(t).codes
+        assert t.eul == euler_traversal(t).codes
 
     @given(t=trees())
     @settings(max_examples=200)
