@@ -3,15 +3,15 @@
 The interesting regime is a stream that never whistles, because every
 naive push then scans the entire admitted sequence: quadratic total work,
 so doubling the stream length should roughly quadruple the naive time.
-The optimized checker stays near-linear for every order that implies the
-size order S: sizes never grow along the stream, so no admitted tree is
-ever a candidate.
+The optimized checker stays near-linear for every order that implies S
+or B: sizes never grow along the stream, so no admitted tree is ever a
+candidate.
 
 `monotone_stream` builds such a stream deterministically: trees with
 pairwise-distinct constructor bags, emitted in non-increasing size order.
-Distinct bags rule out tree equality and non-increasing sizes rule out
-the strictly-smaller branch, so S, and every order that implies it,
-admits the whole stream.  Each tree is the canonical chain
+Distinct bags rule out equal trees and equal bags, and non-increasing
+sizes rule out the strictly-smaller branch, so S, B and every order that
+implies either admit the whole stream.  Each tree is the canonical chain
 realization of one bag: a nullary leaf wrapped by the bag's non-nullary
 constructors, extra child slots filled with leaves.
 
@@ -63,7 +63,9 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
 
 def monotone_stream(sig: Signature, n: int, tree_size: int) -> list[Tree]:
     """n trees with pairwise-distinct bags, sizes non-increasing around
-    `tree_size`; fully admitted under S and every order implying it."""
+    `tree_size`; fully admitted under S, B and every order implying either."""
+    if n < 0:
+        raise ValueError(f"stream length must be >= 0, got {n}")
     if tree_size < 1:
         raise ValueError(f"tree size must be >= 1, got {tree_size}")
     nullaries = [i for i, a in enumerate(sig.arities) if a == 0]

@@ -130,10 +130,10 @@ class WqoSpec:
 
 
 def parse_wqo_name(name: str, y_threshold: int = 2) -> WqoSpec:
-    """Parse a concatenated-letter order name, case-insensitively."""
+    """Parse a concatenated-letter order name; only ASCII letters fold case."""
     if not name:
         raise ValueError("empty WQO name")
-    return WqoSpec(frozenset(name.upper()), y_threshold)
+    return WqoSpec(frozenset(c.upper() if c.isascii() else c for c in name), y_threshold)
 
 
 def implies(finer: WqoSpec, coarser: WqoSpec) -> bool:

@@ -8,17 +8,15 @@ antichain under the checker's order.
 
 `SequenceChecker` decides every push by one rule read off the order
 lattice.  Trees with different `Z`/`Y` keys are unrelated, so the
-admitted trees are partitioned by the keys the spec contains.  When the
-spec implies the size order `S` (`S` and `M` themselves, and every spec
-with `P`, `E` or `H`), an earlier tree s can be related to t only when s
-equals t or s is strictly smaller: one seen-tree table decides equal
-trees, and only the strictly smaller members of t's partition are
-candidates; otherwise all its members are.  Each partition is kept in
-non-increasing size order, so the candidates are its tail, and a stream
-of non-increasing sizes only ever appends.  The candidates are then
-checked, smallest first, against the rest of the spec (its components
-less `Z`, `Y` and `S`), cheapest component first; when nothing is left,
-any candidate is a witness and no comparison is made.
+admitted trees are partitioned by those keys.  A spec that is not keys
+alone implies `S` or `B`, and both bound size (a bag's total is the
+size), so s sits below t only if s is strictly smaller or shares what
+equal-size related trees share: the tree under `S`, else the bag under
+`B` (equal bags give equal keys), else the keys.  One table keyed by that
+value decides the equal case.  The candidates are the strictly smaller
+members of t's partition, a tail of it kept in non-increasing size order,
+checked smallest first against the rest of the spec (less `Z`, `Y` and
+`S`); when nothing is left, any candidate is a witness.
 
 `NaiveChecker` is the differential-testing reference: it scans all
 admitted elements in order and applies the combined relation directly.
@@ -107,9 +105,6 @@ class NaiveChecker(_CheckerBase):
         return PushOutcome(pos, False)
 
 
-_SIZE = WqoSpec(frozenset("S"))
-
-
 def _neg_size(entry) -> int:
     return -entry[1].size
 
@@ -121,7 +116,13 @@ class SequenceChecker(_CheckerBase):
         expanded = spec.expanded
         self._key_parts = [partition_key(l, spec.y_threshold)
                            for l in sorted(expanded & KEY_LETTERS)]
-        self._sized = implies(spec, _SIZE)
+        # what a tree shares with every equal-size tree related to it
+        if implies(spec, WqoSpec(frozenset("S"))):
+            self._shared = lambda t, key: t
+        elif implies(spec, WqoSpec(frozenset("B"))):
+            self._shared = lambda t, key: t.bag
+        else:
+            self._shared = lambda t, key: key
         residual = expanded - KEY_LETTERS - {"S"}
         self._related = conjunction(residual, spec.y_threshold) if residual else None
         super().__init__(spec)
@@ -129,7 +130,7 @@ class SequenceChecker(_CheckerBase):
     def reset(self) -> None:
         super().reset()
         self._partitions: dict = {}
-        self._seen_trees: dict[Tree, int] = {}
+        self._seen: dict = {}
 
     def _key(self, t: Tree):
         return tuple(part(t) for part in self._key_parts)
@@ -138,15 +139,13 @@ class SequenceChecker(_CheckerBase):
         self._enter(t)
         pos = self.position
         self.position += 1
-        members = self._partitions.setdefault(self._key(t), [])
-        start = 0
-        if self._sized:
-            # equal trees share all keys, so one global table suffices
-            dup = self._seen_trees.get(t)
-            if dup is not None:
-                return PushOutcome(pos, True, dup)
-            start = bisect_right(members, -t.size, key=_neg_size)
-        candidates = members[start:]
+        key = self._key(t)
+        shared = self._shared(t, key)
+        dup = self._seen.get(shared)
+        if dup is not None:
+            return PushOutcome(pos, True, dup)
+        members = self._partitions.setdefault(key, [])
+        candidates = members[bisect_right(members, -t.size, key=_neg_size):]
         if candidates:
             if self._related is None:
                 return PushOutcome(pos, True, candidates[-1][0])
@@ -156,7 +155,6 @@ class SequenceChecker(_CheckerBase):
             if witness is not None:
                 return PushOutcome(pos, True, witness)
         insort(members, (pos, t), key=_neg_size)
-        if self._sized:
-            self._seen_trees[t] = pos
+        self._seen[shared] = pos
         self.admitted.append((pos, t))
         return PushOutcome(pos, False)

@@ -30,6 +30,10 @@ class TestMonotoneStream:
         with pytest.raises(ValueError, match=f"tree size must be >= 1, got {size}"):
             monotone_stream(sig, 5, size)
 
+    def test_refuses_negative_length(self, sig):
+        with pytest.raises(ValueError, match="stream length must be >= 0, got -5"):
+            monotone_stream(sig, -5, 10)
+
     def test_needs_workable_signature(self):
         from treewqo import Signature
         with pytest.raises(ValueError, match="nullary"):
@@ -56,10 +60,12 @@ class TestBenchReport:
         assert lines[1] == "checker\tstream_len\tseconds\twhistles"
         assert len(lines) == 6
 
-    @pytest.mark.parametrize("name", ["SB", "P", "E", "H", "ZP", "YZH"])
+    @pytest.mark.parametrize("name", ["SB", "P", "E", "H", "ZP", "YZH",
+                                      "B", "ZB", "YB", "YZB"])
     def test_size_implying_checkers_skip_monotone_history(self, sig, name):
-        # these orders imply S, and sizes never grow along the stream, so no
-        # admitted tree is a candidate; the naive checker compares every pair
+        # these orders imply S or B; bags are distinct and sizes never grow
+        # along the stream, so no admitted tree is a candidate or shares a
+        # table entry; the naive checker compares every pair
         stream = monotone_stream(sig, 100, 30)
         spec = parse_wqo_name(name)
         fast, slow = SequenceChecker(spec), NaiveChecker(spec)

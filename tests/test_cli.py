@@ -42,8 +42,10 @@ class TestCompare:
         assert "arity" in err
 
     def test_bad_wqo_name_exits_2(self, capsys):
-        code, _, err = run(capsys, "compare", "--wqo", "XQ", "a", "a")
-        assert code == 2
+        for name in ("XQ", "ß"):
+            code, _, err = run(capsys, "compare", "--wqo", name, "a", "b(a)")
+            assert code == 2
+            assert "unknown order letter" in err
 
     def test_custom_signature(self, capsys, tmp_path):
         p = tmp_path / "sig.txt"

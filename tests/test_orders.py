@@ -240,8 +240,9 @@ class TestSpecs:
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_wqo_name("")
-        with pytest.raises(ValueError, match="unknown order letter"):
-            parse_wqo_name("SQ")
+        for name in ("SQ", "ß", "ſ", "ſb"):
+            with pytest.raises(ValueError, match="unknown order letter"):
+                parse_wqo_name(name)
 
     def test_registry_has_27(self):
         names = [s.name for s in all_named_specs()]

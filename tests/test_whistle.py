@@ -8,6 +8,7 @@ from treewqo import (
     Tree,
     all_named_specs,
     default_signature,
+    implies,
     monotone_stream,
     parse_tree,
     parse_wqo_name,
@@ -15,6 +16,7 @@ from treewqo import (
     rel,
     render_tree,
 )
+from treewqo.orders import KEY_LETTERS
 
 
 def push_all(checker, stream):
@@ -153,6 +155,24 @@ class TestAccelerationStructure:
             if not out.whistled:
                 seen.append(t)
                 last_size = t.size
+
+    @pytest.mark.parametrize("name, whistles", [("B", True), ("SB", False), ("P", False)])
+    def test_equal_bag_decides_equal_size_pushes(self, sig, name, whistles):
+        # equal bags in different shapes: B-related, but neither S- nor P-related
+        chk = SequenceChecker(parse_wqo_name(name))
+        assert chk.push(parse_tree("c(b(a),a)", sig)).admitted
+        out = chk.push(parse_tree("c(a,b(a))", sig))
+        assert out.whistled == whistles
+        assert out.witness == (0 if whistles else None)
+        assert chk.comparisons == 0
+
+    def test_every_spec_is_keys_alone_or_bounds_size(self):
+        # the precondition of the one push rule; every non-empty set of
+        # letters canonicalizes to one of the named specs
+        size, bag = parse_wqo_name("S"), parse_wqo_name("B")
+        for spec in all_named_specs():
+            assert (spec.expanded <= KEY_LETTERS or implies(spec, size)
+                    or implies(spec, bag)), spec
 
     def test_mixed_spec_scans_with_precomputed_sizes(self, sig):
         # growth in size alone must not whistle under SB
