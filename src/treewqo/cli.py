@@ -62,10 +62,10 @@ def cmd_whistle(args) -> int:
 
 def cmd_census(args) -> int:
     sig = _load_signature(args.sig)
-    if args.wqo.lower() == "all":
+    if args.wqo.strip().lower() == "all":
         specs = [WqoSpec(s.components, args.k) for s in all_named_specs()]
     else:
-        specs = [parse_wqo_name(name, args.k) for name in args.wqo.split(",")]
+        specs = [parse_wqo_name(name.strip(), args.k) for name in args.wqo.split(",")]
     started = time.perf_counter()
     if args.corpus:
         corpus, cfg = load_trees(args.corpus, sig), None

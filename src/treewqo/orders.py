@@ -108,7 +108,7 @@ class WqoSpec:
             raise ValueError("a WQO spec needs at least one component")
         bad = set(self.components) - set(LETTERS)
         if bad:
-            raise ValueError(f"unknown order letter(s): {','.join(sorted(bad))}")
+            raise ValueError(f"unknown order letter(s): {', '.join(map(repr, sorted(bad)))}")
         if self.y_threshold < 2:
             raise ValueError(f"y_threshold must be >= 2, got {self.y_threshold}")
         object.__setattr__(self, "components", _canonicalize(frozenset(self.components)))

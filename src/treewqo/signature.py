@@ -78,6 +78,22 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _check_constructor(c: Constructor, seen: set[str]) -> None:
+    """Raise ValueError if one constructor is invalid, given the names
+    before it; adds its name to `seen`."""
+    # '#' starts a comment in signature files, and a lone surrogate cannot
+    # be written to a UTF-8 tree file
+    if not re.fullmatch(_NAME, c.name) or re.search(r"[#\ud800-\udfff]", c.name):
+        raise ValueError(f"bad constructor name {c.name!r}")
+    if c.name in seen:
+        raise ValueError(f"duplicate constructor {c.name!r}")
+    seen.add(c.name)
+    if c.arity < 0:
+        raise ValueError(f"negative arity for {c.name!r}")
+    if c.probability is not None and not 0.0 <= c.probability <= 1.0:
+        raise ValueError(f"probability of {c.name!r} outside [0, 1]")
+
+
 class Signature:
     """An ordered, finite set of constructors with fixed arities.
 
@@ -91,19 +107,9 @@ class Signature:
         ctors = tuple(Constructor(*c) for c in constructors)
         if not ctors:
             raise ValueError("signature needs at least one constructor")
-        seen = set()
+        seen: set[str] = set()
         for c in ctors:
-            # '#' starts a comment in signature files, and a lone surrogate
-            # cannot be written to a UTF-8 tree file
-            if not re.fullmatch(_NAME, c.name) or re.search(r"[#\ud800-\udfff]", c.name):
-                raise ValueError(f"bad constructor name {c.name!r}")
-            if c.name in seen:
-                raise ValueError(f"duplicate constructor {c.name!r}")
-            seen.add(c.name)
-            if c.arity < 0:
-                raise ValueError(f"negative arity for {c.name!r}")
-            if c.probability is not None and not 0.0 <= c.probability <= 1.0:
-                raise ValueError(f"probability of {c.name!r} outside [0, 1]")
+            _check_constructor(c, seen)
         probs = [c.probability for c in ctors]
         if any(p is not None for p in probs):
             if any(p is None for p in probs):
@@ -156,9 +162,11 @@ class Signature:
     def parse(cls, text: str) -> "Signature":
         """Parse signature text: one "name arity [probability]" per line.
 
-        '#' starts a comment; blank lines are ignored.
+        '#' starts a comment; blank lines are ignored.  Errors about one
+        constructor name its line; errors about the whole text do not.
         """
         ctors = []
+        seen: set[str] = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -178,6 +186,10 @@ class Signature:
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad probability {fields[2]!r}") from None
             ctors.append(Constructor(name, arity, prob))
+            try:
+                _check_constructor(ctors[-1], seen)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         try:
             return cls(ctors)
         except ValueError as exc:

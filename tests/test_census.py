@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from treewqo import (
     write_census_tsv,
 )
 
-from .oracles import naive_embeds
+from .oracles import dp_is_subsequence, naive_embeds
 from .strategies import trees_over
 
 
@@ -101,34 +102,73 @@ def test_m_only_census_keeps_its_expansion(small_corpus):
 TWINS = Signature([("a", 0), ("e", 0), ("b", 1), ("f", 1), ("c", 2), ("g", 2)])
 
 
-def _assert_h_matches_naive(corpus):
-    m = census(corpus, [parse_wqo_name("H")]).matrices["H"]
+CHAINED = "SBPEH"
+
+
+def _naive_verdicts(s, t):
+    """Per-pair reference verdicts of the pairwise-decided letters the census
+    chains (H => E => P => B, S), each found without the census or its kernels."""
+    return {
+        "S": s.size < t.size or render_tree(s) == render_tree(t),
+        "B": Counter(n.root for n in s.nodes()) <= Counter(n.root for n in t.nodes()),
+        "P": dp_is_subsequence(s.pre, t.pre),
+        "E": dp_is_subsequence(s.eul, t.eul),
+        "H": naive_embeds(s, t),
+    }
+
+
+def _assert_chain_matches_naive(corpus):
+    base = census(corpus).base_matrices
     for i, s in enumerate(corpus):
         for j, t in enumerate(corpus):
-            assert m[i, j] == naive_embeds(s, t), (render_tree(s), render_tree(t))
+            got = {letter: bool(base[letter][i, j]) for letter in CHAINED}
+            assert got == _naive_verdicts(s, t), (render_tree(s), render_tree(t))
 
 
 class TestSharedEmbeddingMemo:
-    """The H matrix is decided over hash-consed copies of the corpus with one
-    memo for the whole call; it must agree with the naive embedding."""
+    """The census decides P, E and H only where the letters they imply hold,
+    and H over hash-consed copies of the corpus with one memo for the whole
+    call.  Every entry of the chained matrices must agree with a per-pair
+    reference verdict, since the audit's implications among them now hold
+    by construction."""
 
     @given(data=st.data())
     @settings(max_examples=60)
     def test_h_matrix_on_shared_subtrees(self, data):
         forest = [data.draw(trees_over(TWINS)) for _ in range(3)]
         duplicates = [parse_tree(render_tree(t), TWINS) for t in forest]
-        _assert_h_matches_naive(forest + duplicates + list(forest[0].nodes()))
+        _assert_chain_matches_naive(forest + duplicates + list(forest[0].nodes()))
 
     def test_h_matrix_on_equal_size_trees(self):
         texts = ["c(b(a),a)", "c(a,b(a))", "g(b(a),a)", "c(f(a),a)", "c(b(e),a)",
                  "c(b(a),e)", "b(b(b(a)))", "f(c(a,a))", "c(b(a),a)"]
-        _assert_h_matches_naive([parse_tree(x, TWINS) for x in texts])
+        _assert_chain_matches_naive([parse_tree(x, TWINS) for x in texts])
 
     def test_deep_chains(self, sig):
+        # too deep for the recursive reference: b^k(a) <= b^j(a) iff k <= j
+        # under every chained letter
         depths = [0, 1, 7, 1000, 4999, 5000]
         corpus = [parse_tree("b(" * k + "a" + ")" * k, sig) for k in depths]
-        m = census(corpus, [parse_wqo_name("H")]).matrices["H"]
-        assert m.tolist() == [[k <= j for j in depths] for k in depths]
+        base = census(corpus).base_matrices
+        for letter in CHAINED:
+            assert base[letter].tolist() == [[k <= j for j in depths] for k in depths], letter
+
+    def test_h_only_census_matches_full(self, small_corpus, small_census):
+        # naming H alone builds the letters it implies first, with the same result
+        base = census(small_corpus[0], [parse_wqo_name("H")]).base_matrices
+        assert set(base) == set(CHAINED)
+        for letter in CHAINED:
+            assert (base[letter] == small_census.base_matrices[letter]).all(), letter
+
+    def test_decided_pairs(self, small_census):
+        # each chained kernel runs exactly on the pairs its implied letters leave open
+        n, base, decided = small_census.corpus_size, small_census.base_matrices, small_census.decided
+        assert set(decided) == {"S", "B", "M", "P", "E", "H"}
+        assert decided["S"] == decided["B"] == decided["M"] == n * n
+        assert decided["P"] == (base["B"] & base["S"]).sum()
+        assert decided["E"] == base["P"].sum()
+        assert decided["H"] == base["E"].sum()
+        assert n * n > decided["P"] > decided["E"] > decided["H"] >= n
 
     def test_caller_trees_untouched(self, sig):
         corpus = [parse_tree(x, sig) for x in ["c(b(a),a)", "b(a)", "c(b(a),a)", "d(a,b(a),a)"]]

@@ -42,10 +42,10 @@ class TestCompare:
         assert "arity" in err
 
     def test_bad_wqo_name_exits_2(self, capsys):
-        for name in ("XQ", "ß"):
+        for name, shown in (("XQ", "'Q', 'X'"), ("ß", "'ß'"), (" H", "' '")):
             code, _, err = run(capsys, "compare", "--wqo", name, "a", "b(a)")
             assert code == 2
-            assert "unknown order letter" in err
+            assert f"unknown order letter(s): {shown}" in err
 
     def test_custom_signature(self, capsys, tmp_path):
         p = tmp_path / "sig.txt"
@@ -120,6 +120,11 @@ class TestCensus:
         assert code == 0
         names = {l.split("\t")[0] for l in out.splitlines()[4:]}
         assert names == {"S", "M", "H"}
+
+    def test_spaces_around_order_names(self, capsys):
+        code, out, _ = run(capsys, "census", "--n", "15", "--wqo", "S, H ")
+        assert code == 0
+        assert {l.split("\t")[0] for l in out.splitlines()[4:]} == {"S", "H"}
 
     def test_audit_of_partial_census(self, capsys):
         # the audit recomputes the orders the census did not name

@@ -243,6 +243,11 @@ class TestSpecs:
         for name in ("SQ", "ß", "ſ", "ſb"):
             with pytest.raises(ValueError, match="unknown order letter"):
                 parse_wqo_name(name)
+        # each offending letter is shown quoted, so whitespace stays visible
+        for name, shown in ((" H", "' '"), ("H\t", "'\\t'"), ("sq", "'Q'")):
+            with pytest.raises(ValueError) as exc:
+                parse_wqo_name(name)
+            assert str(exc.value) == f"unknown order letter(s): {shown}"
 
     def test_registry_has_27(self):
         names = [s.name for s in all_named_specs()]

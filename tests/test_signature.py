@@ -155,6 +155,22 @@ class TestSignature:
         with pytest.raises(ParseError, match="line 2"):
             Signature.parse("a 0\nb one two three four")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a 0\nb -1", "line 2: negative arity for 'b'"),
+        ("a 0\n# b\na 1", "line 3: duplicate constructor 'a'"),
+        ("a 0\nb( 1", "line 2: bad constructor name 'b('"),
+        ("a 0 0.5\n\nb 1 1.5", "line 3: probability of 'b' outside [0, 1]"),
+        ("a 0 -0.5\nb 1 1.5", "line 1: probability of 'a' outside [0, 1]"),
+        # errors about the whole text carry no line
+        ("a 0 0.5\nb 1", "either all or no constructors take a probability"),
+        ("a 0 0.5\nb 1 0.25", "probabilities sum to 0.75, expected 1"),
+        ("# nothing\n", "signature needs at least one constructor"),
+    ])
+    def test_parse_error_lines(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            Signature.parse(text)
+        assert str(exc.value) == message
+
 
 class TestMeasures:
     def test_sizes(self, sig, worked):
