@@ -27,7 +27,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .signature import Signature, Tree, default_signature
+from .signature import Signature, Tree, _fill, _new_tree, default_signature
 
 __all__ = ["SplitMix64", "GeneratorConfig", "random_tree", "generate_corpus",
            "default_config"]
@@ -120,23 +120,24 @@ def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> Tree:
         return len(probs) - 1  # guard against rounding at u ~ 1.0
 
     # build iteratively: draw the preorder skeleton, assembling nodes as
-    # each subtree completes, so deep trees cannot overflow the call stack
+    # each subtree completes, so deep trees cannot overflow the call stack;
+    # the stack matches every arity, so nodes skip Tree()'s checks
     root = pick()
     if arities[root] == 0:
-        return Tree(sig, root)
+        return _fill(_new_tree(Tree), sig, root, ())
     stack: list[tuple[int, list[Tree]]] = [(root, [])]
     while True:
         cidx, kids = stack[-1]
         if len(kids) == arities[cidx]:
             stack.pop()
-            node = Tree(sig, cidx, tuple(kids))
+            node = _fill(_new_tree(Tree), sig, cidx, tuple(kids))
             if not stack:
                 return node
             stack[-1][1].append(node)
         else:
             nxt = pick()
             if arities[nxt] == 0:
-                kids.append(Tree(sig, nxt))
+                kids.append(_fill(_new_tree(Tree), sig, nxt, ()))
             else:
                 stack.append((nxt, []))
 

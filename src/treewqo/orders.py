@@ -59,6 +59,7 @@ __all__ = [
 # the base orders in evaluation order for short-circuiting conjunctions:
 # ascending measured cost per pair (orders.<L>.ns_per_pair), embedding last
 LETTERS = "ZSMBYPEH"
+_LOWER_LETTERS = LETTERS.lower()
 cost_rank = LETTERS.index
 
 # proper implications among single letters, transitively closed
@@ -130,10 +131,12 @@ class WqoSpec:
 
 
 def parse_wqo_name(name: str, y_threshold: int = 2) -> WqoSpec:
-    """Parse a concatenated-letter order name; only ASCII letters fold case."""
+    """Parse a concatenated-letter order name; only the eight letters fold
+    case, so an unknown letter is reported as typed."""
     if not name:
         raise ValueError("empty WQO name")
-    return WqoSpec(frozenset(c.upper() if c.isascii() else c for c in name), y_threshold)
+    return WqoSpec(frozenset(c.upper() if c in _LOWER_LETTERS else c for c in name),
+                   y_threshold)
 
 
 def implies(finer: WqoSpec, coarser: WqoSpec) -> bool:

@@ -7,14 +7,20 @@ children of every node must equal its constructor's declared arity.
 
 Every tree node eagerly carries the cheap bottom-up measures (size,
 constructor-set bitmask, structural hash) so that sequence checkers never
-recompute them; the heavier whole-tree measures are computed once on first
-access and cached on the node as plain tuples of ints: `bag` holds one
-count per constructor, `pre` and `eul` the preorder and Euler traversal
-codes.  The order kernels read these tuples directly; the measure
-functions (`constructor_bag`, `pre_traversal`, `euler_traversal`) wrap
-them in `ConstructorBag` / `TraversalString` for callers who want names
-and symbols.  All traversals are iterative, so deep chain-shaped trees do
-not hit the interpreter recursion limit.
+recompute them; `_fill` is their one definition.  `Tree()` checks arity
+and signature before it.  `parse_tree` and the generator check both on
+their own stacks and build nodes through `_fill` unchecked; `parse_tree`
+also shares one leaf per nullary constructor within one call, and no node
+outlives the call in any cache.
+
+The heavier whole-tree measures are computed once on first access and
+cached on the node as plain tuples of ints: `bag` holds one count per
+constructor, `pre` and `eul` the preorder and Euler traversal codes.  The
+order kernels read these tuples directly; the measure functions
+(`constructor_bag`, `pre_traversal`, `euler_traversal`) wrap them in
+`ConstructorBag` / `TraversalString` for callers who want names and
+symbols.  All traversals are iterative, so deep chain-shaped trees do not
+hit the interpreter recursion limit.
 
 Traversal strings use one alphabet for both traversals: the symbol "c
 visited i times" is encoded as ``index(c) * (max_arity + 1) + i``.  A
@@ -217,9 +223,10 @@ class Tree:
 
     `root` is the constructor index; `children` a tuple of Tree.  The
     constructor validates the child count against the declared arity and
-    computes size, constructor-set mask and structural hash in O(arity)
-    from the children's already-computed measures (one bottom-up pass per
-    tree overall).
+    the children's signature, then computes size, constructor-set mask and
+    structural hash in O(arity) from the children's already-computed
+    measures (one bottom-up pass per tree overall).  Children may be
+    shared: a parsed tree holds one leaf object per nullary constructor.
     """
 
     __slots__ = ("sig", "root", "children", "size", "mask", "struct_hash",
@@ -231,24 +238,10 @@ class Tree:
             raise ValueError(
                 f"constructor {sig.names[root]!r} takes {arity} children, got {len(children)}"
             )
-        self.sig = sig
-        self.root = root
-        self.children = children
-        n = 1
-        mask = 1 << root
-        hashes = [root]
         for ch in children:
             if ch.sig is not sig and ch.sig != sig:
                 raise ValueError("child built over a different signature")
-            n += ch.size
-            mask |= ch.mask
-            hashes.append(ch.struct_hash)
-        self.size = n
-        self.mask = mask
-        self.struct_hash = hash(tuple(hashes))
-        self._bag = None
-        self._pre = None
-        self._eul = None
+        _fill(self, sig, root, children)
 
     @property
     def name(self) -> str:
@@ -313,6 +306,34 @@ class Tree:
                     stack.append((node.children[visit], 0))
             self._eul = tuple(codes)
         return self._eul
+
+
+_new_tree = Tree.__new__
+
+
+def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tree:
+    """Set every field of the node `t` and return it, checking nothing.
+
+    The one definition of the eager measures: size, constructor-set mask
+    and structural hash, each from the children's in O(arity).  `Tree()`
+    calls it after its checks; the parser and the generator call it on
+    `_new_tree(Tree)`, having matched arity and signature themselves.
+    """
+    t.sig = sig
+    t.root = root
+    t.children = children
+    n = 1
+    mask = 1 << root
+    hashes = [root]
+    for ch in children:
+        n += ch.size
+        mask |= ch.mask
+        hashes.append(ch.struct_hash)
+    t.size = n
+    t.mask = mask
+    t.struct_hash = hash(tuple(hashes))
+    t._bag = t._pre = t._eul = None
+    return t
 
 
 class ConstructorSet:
@@ -509,55 +530,66 @@ def tree_equal(t: Tree, u: Tree) -> bool:
 _TOKEN = re.compile(rf"[(),]|{_NAME}|\Z")
 
 
+def _arity_mismatch(sig: Signature, cidx: int, got: int) -> str:
+    return f"arity mismatch for {sig.names[cidx]!r}: expected {sig.arities[cidx]}, got {got}"
+
+
 def parse_tree(text: str, sig: Signature) -> Tree:
     """Parse one term; whitespace is insignificant.
 
     Raises ParseError for unknown constructors, arity mismatches (with the
-    offending constructor's position) and malformed syntax.
+    offending constructor's position) and malformed syntax.  The parser
+    checks every name and arity itself and builds nodes without `Tree()`'s
+    checks.  Within one call, every occurrence of a nullary constructor is
+    one shared leaf; two calls share no node.
     """
     index = sig._index
     arities = sig.arities
-    frames: list[tuple[int, int, list[Tree]]] = []  # open terms: (constructor, position, children)
-    # the term before the current token, or None where a name must come next:
-    # (constructor, position, children); children is None for a bare name,
-    # which a "(" turns into an open term
-    last = None
-    for m in _TOKEN.finditer(text):
-        tok, at = m.group(), m.start()
-        if last is None:
-            cidx = index.get(tok)
-            if cidx is None:
-                error = ("unexpected end of input" if not tok
-                         else f"expected a constructor, found {tok!r}" if tok in "(),"
-                         else f"unknown constructor {tok!r}")
-                break
-            last = (cidx, at, None)
-            continue
-        cidx, cat, kids = last
-        if kids is None and tok == "(":
-            frames.append((cidx, cat, []))
-            last = None
-            continue
-        kids = kids or ()
-        if len(kids) != arities[cidx]:
-            error = (f"arity mismatch for {sig.names[cidx]!r}: "
-                     f"expected {arities[cidx]}, got {len(kids)}")
-            at = cat
+    leaves: dict[int, Tree] = {}  # nullary constructor -> its leaf, for this call only
+    frames: list[tuple[int, int, list[Tree]]] = []  # open terms: (constructor, name token, children)
+    error = None
+    # positions are token indices until an error needs the character offset
+    tokens = enumerate(_TOKEN.findall(text))
+    for at, tok in tokens:  # a name must come here
+        cidx = index.get(tok)
+        if cidx is None:
+            error = ("unexpected end of input" if not tok
+                     else f"expected a constructor, found {tok!r}" if tok in "(),"
+                     else f"unknown constructor {tok!r}")
             break
-        node = Tree(sig, cidx, tuple(kids))
-        if not frames:
+        # a name is never the last token, which is the "" end of input
+        name_at = at
+        at, tok = next(tokens)
+        if tok == "(":
+            frames.append((cidx, name_at, []))
+            continue
+        if arities[cidx]:
+            error, at = _arity_mismatch(sig, cidx, 0), name_at
+            break
+        node = leaves.get(cidx)
+        if node is None:
+            node = leaves[cidx] = _fill(_new_tree(Tree), sig, cidx, ())
+        # close terms until a "," asks for the next name
+        while frames:
+            frames[-1][2].append(node)
+            if tok == ",":
+                break
+            if tok != ")":
+                error = f"expected ',' or ')', found {tok!r}" if tok else "unexpected end of input"
+                break
+            cidx, name_at, kids = frames.pop()
+            if len(kids) != arities[cidx]:
+                error, at = _arity_mismatch(sig, cidx, len(kids)), name_at
+                break
+            node = _fill(_new_tree(Tree), sig, cidx, tuple(kids))
+            at, tok = next(tokens)
+        else:
             if not tok:
                 return node
             error = f"unexpected {tok!r} after term"
+        if error is not None:
             break
-        frames[-1][2].append(node)
-        if tok == ",":
-            last = None
-        elif tok == ")":
-            last = frames.pop()
-        else:
-            error = f"expected ',' or ')', found {tok!r}" if tok else "unexpected end of input"
-            break
+    at = list(_TOKEN.finditer(text))[at].start()
     raise ParseError(f"{error} at position {at}", at)
 
 

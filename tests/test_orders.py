@@ -244,7 +244,7 @@ class TestSpecs:
             with pytest.raises(ValueError, match="unknown order letter"):
                 parse_wqo_name(name)
         # each offending letter is shown quoted, so whitespace stays visible
-        for name, shown in ((" H", "' '"), ("H\t", "'\\t'"), ("sq", "'Q'")):
+        for name, shown in ((" H", "' '"), ("H\t", "'\\t'"), ("sq", "'q'")):
             with pytest.raises(ValueError) as exc:
                 parse_wqo_name(name)
             assert str(exc.value) == f"unknown order letter(s): {shown}"

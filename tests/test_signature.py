@@ -28,6 +28,10 @@ from treewqo import (
 from .strategies import trees, trees_over
 
 
+# multi-character names, two of them nullary
+MULTI_SIG = Signature([("nil", 0), ("x1", 0), ("wrap", 1), ("cons", 2), ("t3", 3)])
+
+
 def sym_str(ts):
     return [(s.constructor, s.visit) for s in ts.symbols]
 
@@ -85,10 +89,50 @@ class TestParsing:
         assert str(exc.value) == f"{message} at position {position}"
         assert exc.value.position == position
 
+    @pytest.mark.parametrize("bad, message, position", [
+        pytest.param(bad, message, position, id=repr(bad)) for bad, message, position in [
+            (" c( a ,  , a)", "expected a constructor, found ','", 9),
+            ("b(  x )", "unknown constructor 'x'", 4),
+            ("a\t b", "unexpected 'b' after term", 3),
+            ("c(a,\n b", "arity mismatch for 'b': expected 1, got 0", 6),
+            ("  b", "arity mismatch for 'b': expected 1, got 0", 2),
+            ("c( b( a ) )", "arity mismatch for 'c': expected 2, got 1", 0),
+            (" b(a) )", "unexpected ')' after term", 6),
+            ("d(a, a a)", "expected ',' or ')', found 'a'", 7),
+            ("b( a ", "unexpected end of input", 5),
+            ("   ", "unexpected end of input", 3),
+        ]
+    ])
+    def test_error_positions_count_whitespace(self, sig, bad, message, position):
+        # the parser works on tokens; positions are character offsets
+        with pytest.raises(ParseError) as exc:
+            parse_tree(bad, sig)
+        assert str(exc.value) == f"{message} at position {position}"
+        assert exc.value.position == position
+
     @given(t=trees())
     @settings(max_examples=200)
     def test_render_parse_round_trip(self, t):
         assert parse_tree(render_tree(t), t.sig) == t
+
+    @given(t=st.one_of(trees(), trees_over(MULTI_SIG)))
+    @settings(max_examples=200)
+    def test_parsed_nodes_match_checked_construction(self, t):
+        # t is built by Tree(), which checks every node; the parser skips
+        # those checks and shares leaves
+        text = render_tree(t)
+        parsed = parse_tree(text, t.sig)
+        built, got = list(t.nodes()), list(parsed.nodes())
+        assert len(got) == len(built)
+        for a, b in zip(built, got):
+            assert (b.sig, b.root, b.size, b.mask, b.struct_hash, b.bag, b.pre, b.eul) == (
+                a.sig, a.root, a.size, a.mask, a.struct_hash, a.bag, a.pre, a.eul)
+        leaves = {}
+        for node in got:
+            if not node.children:
+                assert leaves.setdefault(node.root, node) is node
+        again = parse_tree(text, t.sig)
+        assert not {id(n) for n in got} & {id(n) for n in again.nodes()}
 
     def test_render_examples(self, sig, worked):
         assert render_tree(parse_tree("a", sig)) == "a"
