@@ -1,24 +1,22 @@
 """Discriminative-power census and hierarchy audit.
 
 The census counts, for each order, the ordered pairs (s, t) of a corpus
-(diagonal included) with s related to t.  Base orders are evaluated
-pairwise with their own decision procedures into boolean matrices, except
-the key orders Z and Y, which compare one key per tree; combined orders
-are conjunctions of their component matrices, which is their definition.
+(diagonal included) with s related to t.  Every base letter the specs
+name is decided on every ordered pair: the key orders Z and Y compare one
+key per tree, homeomorphic embedding (H) reads one bottom-up table, and
+the other letters run their pairwise decision procedures.  Combined
+orders are conjunctions of their component matrices, which is their
+definition.
 
-The base matrices are decided in lattice order (H => E => P => B, S): the
-letters the specs name are closed under the implication table, and each
-letter is decided only on the pairs where every letter it implies holds,
-P where B and S hold, E where P holds, H where E holds.  Every other pair
-is unrelated by the implication.  `CensusResult.decided` counts the pairs
-each pairwise kernel ran on.
-
-Homeomorphic embedding (H) dominates the cost.  Its matrix is decided
-over hash-consed copies of the corpus, in which equal subtrees are one
-object, with one embedding memo for all pairs, so each distinct pair of
-subtrees is decided once per call.  The intern table and the memo live
-only as long as the call; the caller's trees are not touched, and no
-consed tree reaches the result.
+The H table numbers the corpus's distinct subtrees in postorder by the
+key (root, *child numbers) and fills one boolean row per subtree b over
+all subtrees a: a embeds in b iff the roots are equal and each child of a
+embeds in the same child of b (coupling), or a embeds in some child of b
+(diving).  Each row is a few numpy operations over all subtrees at once
+(Kilpeläinen & Mannila, "Ordered and unordered tree inclusion", 1995).
+It takes D*D bools for D distinct subtrees, about 5 000 (25 MB) for the
+command line's default 400 trees.  The table numbers subtrees by root
+index, so a corpus must use one signature.
 
 The audit then checks, on the raw pair sets rather than the counts:
 
@@ -29,13 +27,8 @@ The audit then checks, on the raw pair sets rather than the counts:
     some pair separates the two orders; a missing separating pair is
     reported as unverified, not as a failure.
 
-Because of the lattice order, the implications among B, S, P, E and H
-hold by construction, and so does every named implication that follows
-from them and from conjunction alone: 170 of the 188.  The audit no
-longer verifies them; the per-pair reference verdicts of the test suite
-and of the benchmark's sampled pairs check those matrices instead.  The
-18 implications into an order containing M, which keeps its own kernel,
-the identities and the strictness report remain independent checks.
+Since every letter is decided on its own, each of the 188 implications
+compares independently decided matrices.
 """
 
 from __future__ import annotations
@@ -46,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generate import GeneratorConfig
-from .orders import (_IMPLIES, KEY_LETTERS, WqoSpec, _embeds, all_named_specs,
-                     base_relation, named_implications, partition_key)
+from .orders import (KEY_LETTERS, WqoSpec, all_named_specs, base_relation,
+                     named_implications, partition_key)
 from .signature import Tree
 
 __all__ = ["CensusResult", "census", "AuditReport", "hierarchy_audit", "write_census_tsv"]
@@ -62,51 +55,48 @@ class CensusResult:
     y_threshold: int = 2
     matrices: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     base_matrices: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    # pairwise-decided base letter -> number of pairs its kernel ran on
-    decided: dict[str, int] = field(default_factory=dict)
 
     def sorted_counts(self) -> list[tuple[str, int]]:
         return sorted(self.counts.items(), key=lambda kv: (kv[1], kv[0]))
 
 
-def _hashcons(corpus: list[Tree]) -> list[Tree]:
-    """Copies of the corpus trees in which equal subtrees are one object.
-
-    Interns bottom-up, keyed by the root and the ids of the already interned
-    children; the caller's trees are left untouched."""
-    table: dict[tuple[int, ...], Tree] = {}
-    consed: dict[int, Tree] = {}  # id of a corpus node -> its interned copy
+def _embedding_matrix(corpus: list[Tree]) -> np.ndarray:
+    """The H matrix from one table over the corpus's distinct subtrees."""
+    number: dict[tuple[int, ...], int] = {}  # (root, *child numbers) -> postorder number
+    numbered: dict[int, int] = {}  # id of a corpus node -> its number
     for t in corpus:
         # reversed preorder visits every node after its children
         for node in reversed(list(t.nodes())):
-            kids = tuple(consed[id(c)] for c in node.children)
-            key = (node.root, *map(id, kids))
-            u = table.get(key)
-            if u is None:
-                u = table[key] = Tree(node.sig, node.root, kids)
-            consed[id(node)] = u
-    return [consed[id(t)] for t in corpus]
+            key = (node.root, *(numbered[id(c)] for c in node.children))
+            numbered[id(node)] = number.setdefault(key, len(number))
+    roots = np.array([key[0] for key in number], dtype=np.intp)
+    # padding 0 is a valid number; the root mask hides it
+    kids = np.zeros((len(number), max(map(len, number), default=1) - 1), dtype=np.intp)
+    for b, key in enumerate(number):
+        kids[b, :len(key) - 1] = key[1:]
+    below = np.zeros((len(number), len(number)), dtype=bool)  # below[b, a]: a embeds in b
+    for b, (root, *children) in enumerate(number):
+        row = roots == root
+        for i, c in enumerate(children):
+            row &= below[c][kids[:, i]]
+        for c in children:
+            row |= below[c]
+        below[b] = row
+    ids = [numbered[id(t)] for t in corpus]
+    return below[np.ix_(ids, ids)].T
 
 
-def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int,
-                 open_pairs: np.ndarray) -> np.ndarray:
-    """The letter's matrix, decided only on the open pairs; the others are False."""
+def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarray:
     if letter in KEY_LETTERS:
         # related iff equal keys: number the distinct keys, compare the numbers
         key = partition_key(letter, y_threshold)
         ids = np.unique([key(t) for t in corpus], return_inverse=True)[1]
         return ids[:, None] == ids[None, :]
     if letter == "H":
-        # one embedding memo for all pairs, over subtrees made shared objects
-        corpus = _hashcons(corpus)
-        memo: dict[tuple[int, int], bool] = {}
-        check = lambda s, t: _embeds(s, t, memo)
-    else:
-        check = base_relation(letter, y_threshold)
-    m = np.zeros(open_pairs.shape, dtype=bool)
-    # np.argwhere lists the pairs in the row-major order of mask assignment
-    m[open_pairs] = [check(corpus[i], corpus[j]) for i, j in np.argwhere(open_pairs).tolist()]
-    return m
+        return _embedding_matrix(corpus)
+    check = base_relation(letter, y_threshold)
+    n = len(corpus)
+    return np.array([[check(s, t) for t in corpus] for s in corpus], dtype=bool).reshape(n, n)
 
 
 def census(
@@ -116,9 +106,9 @@ def census(
 ) -> CensusResult:
     """Count related ordered pairs for each spec over the whole corpus.
 
-    All specs must share one y_threshold.  Deterministic for a fixed
-    corpus; the per-spec boolean matrices are kept on the result for the
-    audit.
+    All specs must share one y_threshold, and all trees one signature.
+    Deterministic for a fixed corpus; the per-spec boolean matrices are
+    kept on the result for the audit.
     """
     if specs is None:
         specs = list(all_named_specs())
@@ -126,23 +116,12 @@ def census(
     if len(thresholds) > 1:
         raise ValueError("census specs must share one y_threshold")
     y_threshold = thresholds.pop() if thresholds else 2
+    if len({t.sig for t in corpus}) > 1:
+        raise ValueError("census trees must share one signature")
 
-    # expanded: Z and S back the audit's identity checks even when only M is
-    # named; the implied letters filter the pairs their implier is decided on
-    named = {l for s in specs for l in s.components | s.expanded}
-    letters = named.union(*(_IMPLIES.get(l, ()) for l in named))
-    n = len(corpus)
-    base: dict[str, np.ndarray] = {}
-    decided: dict[str, int] = {}
-    # _IMPLIES is transitively closed, so an implied letter implies fewer
-    # letters than its implier: this order builds the filters first
-    for letter in sorted(letters, key=lambda l: (len(_IMPLIES.get(l, ())), l)):
-        open_pairs = np.ones((n, n), dtype=bool)
-        for implied in _IMPLIES.get(letter, ()):
-            open_pairs &= base[implied]
-        base[letter] = _base_matrix(letter, corpus, y_threshold, open_pairs)
-        if letter not in KEY_LETTERS:
-            decided[letter] = int(open_pairs.sum())
+    # expanded: Z and S back the audit's identity checks even when only M is named
+    letters = sorted({l for s in specs for l in s.components | s.expanded})
+    base = {l: _base_matrix(l, corpus, y_threshold) for l in letters}
 
     counts: dict[str, int] = {}
     matrices: dict[str, np.ndarray] = {}
@@ -161,7 +140,6 @@ def census(
         y_threshold=y_threshold,
         matrices=matrices,
         base_matrices=base,
-        decided=decided,
     )
     return result
 
@@ -213,10 +191,8 @@ class AuditReport:
 def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> AuditReport:
     """Audit a census over all named orders; see the module docstring.
 
-    The census decides P, E and H only where the letters they imply hold,
-    so every implication except those into an order containing M (such as
-    H => E or YH => YB) holds by construction here; the tests compare the
-    chained matrices with per-pair reference verdicts instead.
+    Every base letter is decided on every pair, so each implication
+    compares matrices that were decided independently.
 
     If the result lacks a named order's matrix (a partial census, or one
     loaded from TSV) the corpus is required so they can be recomputed.

@@ -72,8 +72,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if not self.signature.has_probabilities:
             raise ValueError("generation needs a signature with probabilities")
-        if self.corpus_size < 0 or self.size_cap < 1:
-            raise ValueError("corpus_size must be >= 0 and size_cap >= 1")
+        if self.corpus_size < 0:
+            raise ValueError(f"corpus size must be >= 0, got {self.corpus_size}")
+        if self.size_cap < 1:
+            raise ValueError(f"size cap must be >= 1, got {self.size_cap}")
         m = self.branching_factor
         if m >= 1.0:
             warnings.warn(

@@ -260,21 +260,13 @@ def rel_embed(s: Tree, t: Tree) -> bool:
 
     s embeds into t iff the roots are equal and the children embed
     pairwise (coupling), or s embeds into some child of t (diving).
-    Decided iteratively with memoization over subtree pairs, with a fresh
-    memo for every call (a census shares one memo across the pairs of its
-    corpus instead).  H implies S, so a subproblem whose left subtree is
-    not smaller holds only when the two are equal, and one whose left
-    subtree uses constructors the right one lacks fails; both are decided
-    without recursion.
+    Decided iteratively with memoization over subtree pairs, keyed by
+    object identity, with a fresh memo for every call.  H implies S, so a
+    subproblem whose left subtree is not smaller holds only when the two
+    are equal, and one whose left subtree uses constructors the right one
+    lacks fails; both are decided without recursion.
     """
-    return _embeds(s, t, {})
-
-
-def _embeds(s: Tree, t: Tree, memo: dict[tuple[int, int], bool]) -> bool:
-    """The H kernel.  `memo` maps (id(a), id(b)) of subtree pairs to their
-    verdicts; a caller may share it across pairs only while every tree it
-    has seen stays alive, and equal subtrees share entries only when they
-    are one object (see census._hashcons)."""
+    memo: dict[tuple[int, int], bool] = {}
     stack = [(s, t)]
     while stack:
         a, b = stack[-1]

@@ -50,10 +50,11 @@ def test_covers_all_named_orders(small_census):
     assert len(small_census.counts) == 27
 
 
-def test_single_tree_corpus(sig):
-    corpus = [parse_tree("a", sig)]
+@pytest.mark.parametrize("texts, count", [(["a"], 1), ([], 0)], ids=["one-tree", "empty"])
+def test_single_tree_corpus(sig, texts, count):
+    corpus = [parse_tree(x, sig) for x in texts]
     result = census(corpus, [parse_wqo_name("H")])
-    assert result.counts == {"H": 1}
+    assert result.counts == {"H": count}
 
 
 def test_counts_deterministic(small_corpus):
@@ -102,12 +103,12 @@ def test_m_only_census_keeps_its_expansion(small_corpus):
 TWINS = Signature([("a", 0), ("e", 0), ("b", 1), ("f", 1), ("c", 2), ("g", 2)])
 
 
-CHAINED = "SBPEH"
+CHECKED = "SBPEH"
 
 
 def _naive_verdicts(s, t):
-    """Per-pair reference verdicts of the pairwise-decided letters the census
-    chains (H => E => P => B, S), each found without the census or its kernels."""
+    """Per-pair reference verdicts of the census letters checked here, each
+    found without the census or its kernels."""
     return {
         "S": s.size < t.size or render_tree(s) == render_tree(t),
         "B": Counter(n.root for n in s.nodes()) <= Counter(n.root for n in t.nodes()),
@@ -117,58 +118,47 @@ def _naive_verdicts(s, t):
     }
 
 
-def _assert_chain_matches_naive(corpus):
+def _assert_base_matches_naive(corpus):
     base = census(corpus).base_matrices
     for i, s in enumerate(corpus):
         for j, t in enumerate(corpus):
-            got = {letter: bool(base[letter][i, j]) for letter in CHAINED}
+            got = {letter: bool(base[letter][i, j]) for letter in CHECKED}
             assert got == _naive_verdicts(s, t), (render_tree(s), render_tree(t))
 
 
 class TestSharedEmbeddingMemo:
-    """The census decides P, E and H only where the letters they imply hold,
-    and H over hash-consed copies of the corpus with one memo for the whole
-    call.  Every entry of the chained matrices must agree with a per-pair
-    reference verdict, since the audit's implications among them now hold
-    by construction."""
+    """The census decides every base letter on every pair, H from one table
+    over the corpus's distinct subtrees.  Every entry of the S, B, P, E and
+    H matrices must agree with a per-pair reference verdict."""
 
     @given(data=st.data())
     @settings(max_examples=60)
     def test_h_matrix_on_shared_subtrees(self, data):
-        forest = [data.draw(trees_over(TWINS)) for _ in range(3)]
-        duplicates = [parse_tree(render_tree(t), TWINS) for t in forest]
-        _assert_chain_matches_naive(forest + duplicates + list(forest[0].nodes()))
+        # the default signature's arity 3 exercises the table's child padding
+        for sig in (TWINS, default_signature()):
+            forest = [data.draw(trees_over(sig)) for _ in range(3)]
+            duplicates = [parse_tree(render_tree(t), sig) for t in forest]
+            _assert_base_matches_naive(forest + duplicates + list(forest[0].nodes()))
 
     def test_h_matrix_on_equal_size_trees(self):
         texts = ["c(b(a),a)", "c(a,b(a))", "g(b(a),a)", "c(f(a),a)", "c(b(e),a)",
                  "c(b(a),e)", "b(b(b(a)))", "f(c(a,a))", "c(b(a),a)"]
-        _assert_chain_matches_naive([parse_tree(x, TWINS) for x in texts])
+        _assert_base_matches_naive([parse_tree(x, TWINS) for x in texts])
 
     def test_deep_chains(self, sig):
         # too deep for the recursive reference: b^k(a) <= b^j(a) iff k <= j
-        # under every chained letter
+        # under every checked letter
         depths = [0, 1, 7, 1000, 4999, 5000]
         corpus = [parse_tree("b(" * k + "a" + ")" * k, sig) for k in depths]
         base = census(corpus).base_matrices
-        for letter in CHAINED:
+        for letter in CHECKED:
             assert base[letter].tolist() == [[k <= j for j in depths] for k in depths], letter
 
     def test_h_only_census_matches_full(self, small_corpus, small_census):
-        # naming H alone builds the letters it implies first, with the same result
+        # naming H alone builds exactly H, with the full census's matrix
         base = census(small_corpus[0], [parse_wqo_name("H")]).base_matrices
-        assert set(base) == set(CHAINED)
-        for letter in CHAINED:
-            assert (base[letter] == small_census.base_matrices[letter]).all(), letter
-
-    def test_decided_pairs(self, small_census):
-        # each chained kernel runs exactly on the pairs its implied letters leave open
-        n, base, decided = small_census.corpus_size, small_census.base_matrices, small_census.decided
-        assert set(decided) == {"S", "B", "M", "P", "E", "H"}
-        assert decided["S"] == decided["B"] == decided["M"] == n * n
-        assert decided["P"] == (base["B"] & base["S"]).sum()
-        assert decided["E"] == base["P"].sum()
-        assert decided["H"] == base["E"].sum()
-        assert n * n > decided["P"] > decided["E"] > decided["H"] >= n
+        assert set(base) == {"H"}
+        assert (base["H"] == small_census.base_matrices["H"]).all()
 
     def test_caller_trees_untouched(self, sig):
         corpus = [parse_tree(x, sig) for x in ["c(b(a),a)", "b(a)", "c(b(a),a)", "d(a,b(a),a)"]]
@@ -248,6 +238,13 @@ def test_tsv_format(small_census):
     assert len(rows) == 27
     counts = [int(c) for _, c in rows]
     assert counts == sorted(counts)
+
+
+def test_mixed_signatures_rejected(sig):
+    # the H table numbers subtrees by root index, which only one signature fixes
+    other = Signature([("x", 0), ("y", 1)])
+    with pytest.raises(ValueError, match="one signature"):
+        census([parse_tree("b(a)", sig), parse_tree("y(x)", other)])
 
 
 def test_mixed_thresholds_rejected(small_corpus):

@@ -131,6 +131,14 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--n", "10", "--wqo", "S,H", "--audit")
         assert code == 0 and "violations: 0" in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--n", "-1", "corpus size must be >= 0, got -1"),
+        ("--cap", "0", "size cap must be >= 1, got 0"),
+    ], ids=["n", "cap"])
+    def test_bad_generator_value_named(self, capsys, option, value, message):
+        code, out, err = run(capsys, "census", option, value)
+        assert (code, out) == (2, "") and message in err
+
     def test_replay_dumped_corpus(self, capsys, tmp_path):
         path = str(tmp_path / "c.txt")
         _, generated, _ = run(capsys, "census", "--n", "30", "--seed", "2", "--dump", path)
