@@ -14,7 +14,6 @@ from .generate import GeneratorConfig, SplitMix64, default_config, generate_corp
 from .orders import (
     WqoSpec,
     all_named_specs,
-    cost_rank,
     implies,
     is_subsequence,
     multiset_leq,

@@ -194,8 +194,8 @@ def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> A
     Every base letter is decided on every pair, so each implication
     compares matrices that were decided independently.
 
-    If the result lacks a named order's matrix (a partial census, or one
-    loaded from TSV) the corpus is required so they can be recomputed.
+    If the result lacks a named order's matrix (a partial census), the
+    corpus is required so they can be recomputed.
     """
     specs = list(all_named_specs())
     missing = [s.name for s in specs if s.name not in result.matrices]

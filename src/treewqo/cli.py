@@ -41,7 +41,7 @@ def cmd_compare(args) -> int:
     s = parse_tree(args.term1, sig)
     t = parse_tree(args.term2, sig)
     related = True
-    for letter in spec.evaluation_order:
+    for letter in spec.name:
         verdict = base_relation(letter, spec.y_threshold)(s, t)
         related = related and verdict
         print(f"{letter}: {'related' if verdict else 'unrelated'}")

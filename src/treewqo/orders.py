@@ -20,9 +20,9 @@ as the intersection of Z and S, and any component implied by another is
 dropped (H implies E implies P implies both B and S).  Canonicalizing all
 combinations of the eight letters yields exactly 27 distinct named orders.
 
-Combined relations are evaluated cheapest-component-first with
-short-circuiting.  `LETTERS` lists the base orders in that order, by their
-measured cost per pair, and `cost_rank(letter)` is a letter's index there.
+A combined relation is decided by its base relations in `LETTERS` order,
+short-circuiting on the first failure (`conjunction`, `rel`); the whistle
+checker needs no conjunction, as the lattice leaves it one kernel at most.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "parse_wqo_name",
     "all_named_specs",
     "named_implications",
-    "cost_rank",
     "is_subsequence",
     "multiset_subset",
     "multiset_leq",
@@ -56,11 +55,10 @@ __all__ = [
     "implies",
 ]
 
-# the base orders in evaluation order for short-circuiting conjunctions:
-# ascending measured cost per pair (orders.<L>.ns_per_pair), embedding last
+# the base orders in evaluation order, by their kernels' cost class: field
+# comparisons (Z S M), bag scans (B Y), subsequences (P E), tree search (H)
 LETTERS = "ZSMBYPEH"
 _LOWER_LETTERS = LETTERS.lower()
-cost_rank = LETTERS.index
 
 # proper implications among single letters, transitively closed
 # (M is handled by expansion into Z and S, not listed here)
@@ -117,10 +115,6 @@ class WqoSpec:
     @property
     def name(self) -> str:
         return "".join(c for c in _DISPLAY_ORDER if c in self.components)
-
-    @property
-    def evaluation_order(self) -> tuple[str, ...]:
-        return tuple(sorted(self.components, key=cost_rank))
 
     @property
     def expanded(self) -> frozenset[str]:
@@ -340,12 +334,11 @@ def base_relation(letter: str, y_threshold: int = 2) -> Callable[[Tree, Tree], b
     return _BASE_RELS[letter]
 
 
-@lru_cache(maxsize=256)
-def conjunction(components: frozenset[str], y_threshold: int = 2) -> Callable[[Tree, Tree], bool]:
-    """One predicate for the intersection of the given base orders: the base
-    relations in ascending cost rank, short-circuiting on the first failure.
-    A single component is returned as its own base relation."""
-    checks = tuple(base_relation(l, y_threshold) for l in sorted(components, key=cost_rank))
+def conjunction(spec: WqoSpec) -> Callable[[Tree, Tree], bool]:
+    """One predicate for the spec's order: its base relations in `LETTERS`
+    order, short-circuiting on the first failure.  A single component is
+    returned as its own base relation."""
+    checks = tuple(base_relation(l, spec.y_threshold) for l in LETTERS if l in spec.components)
     if len(checks) == 1:
         return checks[0]
 
@@ -359,6 +352,9 @@ def conjunction(components: frozenset[str], y_threshold: int = 2) -> Callable[[T
 
 
 def rel(spec: WqoSpec, s: Tree, t: Tree) -> bool:
-    """Combined relation: conjunction over the spec's components, evaluated
-    in ascending cost rank with short-circuit on the first failure."""
-    return conjunction(spec.components, spec.y_threshold)(s, t)
+    """Combined relation on one pair, decided as `conjunction(spec)` decides
+    it, without building the predicate for a single call."""
+    for letter in LETTERS:
+        if letter in spec.components and not base_relation(letter, spec.y_threshold)(s, t):
+            return False
+    return True

@@ -222,8 +222,8 @@ class Tree:
     """An immutable term over a fixed signature.
 
     `root` is the constructor index; `children` a tuple of Tree.  The
-    constructor validates the child count against the declared arity and
-    the children's signature, then computes size, constructor-set mask and
+    constructor validates the root index, the child count and the
+    children's signature, then computes size, constructor-set mask and
     structural hash in O(arity) from the children's already-computed
     measures (one bottom-up pass per tree overall).  Children may be
     shared: a parsed tree holds one leaf object per nullary constructor.
@@ -233,6 +233,8 @@ class Tree:
                  "_bag", "_pre", "_eul")
 
     def __init__(self, sig: Signature, root: int, children: tuple["Tree", ...] = ()):
+        if not 0 <= root < len(sig):
+            raise ValueError(f"constructor index {root} not in 0..{len(sig) - 1}")
         arity = sig.arities[root]
         if len(children) != arity:
             raise ValueError(

@@ -16,7 +16,8 @@ equal-size related trees share: the tree under `S`, else the bag under
 value decides the equal case.  The candidates are the strictly smaller
 members of t's partition, a tail of it kept in non-increasing size order,
 checked smallest first against the rest of the spec (less `Z`, `Y` and
-`S`); when nothing is left, any candidate is a witness.
+`S`), at most one letter of the chain `B`, `P`, `E`, `H`, whose kernel is
+called directly; when nothing is left, any candidate is a witness.
 
 `NaiveChecker` is the differential-testing reference: it scans all
 admitted elements in order and applies the combined relation directly.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
-from .orders import KEY_LETTERS, WqoSpec, conjunction, implies, partition_key
+from .orders import KEY_LETTERS, WqoSpec, base_relation, conjunction, implies, partition_key
 from .signature import Signature, Tree
 
 __all__ = ["PushOutcome", "SequenceChecker", "NaiveChecker"]
@@ -90,7 +91,7 @@ class NaiveChecker(_CheckerBase):
     in order, with the combined relation."""
 
     def __init__(self, spec: WqoSpec):
-        self._related = conjunction(spec.components, spec.y_threshold)
+        self._related = conjunction(spec)
         super().__init__(spec)
 
     def push(self, t: Tree) -> PushOutcome:
@@ -123,8 +124,8 @@ class SequenceChecker(_CheckerBase):
             self._shared = lambda t, key: t.bag
         else:
             self._shared = lambda t, key: key
-        residual = expanded - KEY_LETTERS - {"S"}
-        self._related = conjunction(residual, spec.y_threshold) if residual else None
+        (letter,) = expanded - KEY_LETTERS - {"S"} or {None}
+        self._related = base_relation(letter, spec.y_threshold) if letter else None
         super().__init__(spec)
 
     def reset(self) -> None:

@@ -36,6 +36,11 @@ class TestCompare:
         assert code == 0
         assert "S: related" in out and "B: related" in out
 
+    def test_verdicts_in_name_order(self, capsys):
+        code, out, _ = run(capsys, "compare", "--wqo", "YZH", "b(b(a))", "b(b(b(a)))")
+        assert [line.split(":")[0] for line in out.splitlines()] == ["Y", "Z", "H", "RELATED"]
+        assert code == 0
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "compare", "--wqo", "S", "c(a)", "a")
         assert code == 2

@@ -5,7 +5,6 @@ from treewqo import (
     ConstructorBag,
     WqoSpec,
     all_named_specs,
-    cost_rank,
     implies,
     is_subsequence,
     multiset_leq,
@@ -22,6 +21,7 @@ from treewqo import (
     rel_size,
     rel_sized_set,
 )
+from treewqo import orders
 
 from .oracles import dp_is_subsequence, naive_embeds
 from .strategies import symbol_strings, trees
@@ -166,9 +166,8 @@ class TestCombined:
     @settings(max_examples=150)
     def test_combination_dominance(self, s, t):
         for spec in all_named_specs():
-            if rel(spec, s, t):
-                for letter in spec.components:
-                    assert rel(WqoSpec(frozenset(letter)), s, t)
+            assert rel(spec, s, t) == all(rel(WqoSpec(frozenset(letter)), s, t)
+                                          for letter in spec.components)
 
 
 class TestIncomparabilityWitnesses:
@@ -257,16 +256,22 @@ class TestSpecs:
                          "YSB", "YZH", "YZE", "YZP", "YZB", "YMB"]:
             assert expected in names
 
-    def test_cost_ranks(self):
-        assert cost_rank("Z") < cost_rank("H")
-        assert cost_rank("P") < cost_rank("E")
-        assert cost_rank("S") < cost_rank("B")
-        assert [cost_rank(l) for l in "ZSMBYPEH"] == list(range(8))
+    @pytest.mark.parametrize("name, calls", [("HZY", "ZYH"), ("MB", "MB"), ("YSB", "SBY")])
+    def test_conjunction_runs_kernels_in_letter_order(self, monkeypatch, worked, name, calls):
+        # rel decides a pair without building the conjunction, in the same order
+        seen = []
 
-    def test_evaluation_order_is_cost_sorted(self):
-        assert parse_wqo_name("HZY").evaluation_order == ("Z", "Y", "H")
-        assert parse_wqo_name("MB").evaluation_order == ("M", "B")
-        assert parse_wqo_name("YSB").evaluation_order == ("S", "B", "Y")
+        def recording(letter):
+            def kernel(s, t, *k):
+                seen.append(letter)
+                return True
+            return kernel
+
+        monkeypatch.setattr(orders, "_BASE_RELS", {l: recording(l) for l in "SHZBMPE"})
+        monkeypatch.setattr(orders, "rel_repeated", recording("Y"))
+        spec, a = parse_wqo_name(name), worked["A"]
+        assert orders.conjunction(spec)(a, a) and orders.rel(spec, a, a)
+        assert "".join(seen) == calls * 2
 
     def test_y_threshold_carried(self):
         spec = parse_wqo_name("Y", y_threshold=3)

@@ -11,6 +11,7 @@ from treewqo import (
     Constructor,
     ParseError,
     Signature,
+    Tree,
     constructor_bag,
     constructor_set,
     euler_traversal,
@@ -138,6 +139,24 @@ class TestParsing:
         assert render_tree(parse_tree("a", sig)) == "a"
         assert render_tree(worked["A"]) == "b(b(a))"
         assert render_tree(worked["C"]) == "d(b(a),b(a),b(a))"
+
+
+OTHER_SIG = Signature([("x", 0), ("y", 1)])
+
+
+@pytest.mark.parametrize("root, children, message", [
+    pytest.param(2, lambda sig: (Tree(sig, 0),), "constructor 'c' takes 2 children, got 1",
+                 id="child-count"),
+    pytest.param(1, lambda sig: (Tree(OTHER_SIG, 0),), "child built over a different signature",
+                 id="child-signature"),
+    pytest.param(4, lambda sig: (), "constructor index 4 not in 0..3", id="root-4"),
+    pytest.param(-1, lambda sig: (Tree(sig, 0),) * 3, "constructor index -1 not in 0..3",
+                 id="root-minus-1"),
+])
+def test_tree_constructor_checks(sig, root, children, message):
+    with pytest.raises(ValueError) as exc:
+        Tree(sig, root, children(sig))
+    assert str(exc.value) == message
 
 
 class TestSignature:

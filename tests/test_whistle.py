@@ -173,6 +173,8 @@ class TestAccelerationStructure:
         for spec in all_named_specs():
             assert (spec.expanded <= KEY_LETTERS or implies(spec, size)
                     or implies(spec, bag)), spec
+            # and what the keys and sizes leave is at most one kernel
+            assert len(spec.expanded - KEY_LETTERS - {"S"}) <= 1, spec
 
     def test_mixed_spec_scans_with_precomputed_sizes(self, sig):
         # growth in size alone must not whistle under SB
