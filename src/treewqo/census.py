@@ -3,20 +3,21 @@
 The census counts, for each order, the ordered pairs (s, t) of a corpus
 (diagonal included) with s related to t.  Every base letter the specs
 name is decided on every ordered pair: the key orders Z and Y compare one
-key per tree, homeomorphic embedding (H) reads one bottom-up table, and
-the other letters run their pairwise decision procedures.  Combined
-orders are conjunctions of their component matrices, which is their
-definition.
+key per tree, B compares one array of the trees' bags with itself,
+homeomorphic embedding (H) reads one bottom-up table, and the other
+letters run their pairwise decision procedures.  Combined orders are
+conjunctions of their component matrices, which is their definition.
 
-The H table numbers the corpus's distinct subtrees in postorder by the
-key (root, *child numbers) and fills one boolean row per subtree b over
-all subtrees a: a embeds in b iff the roots are equal and each child of a
-embeds in the same child of b (coupling), or a embeds in some child of b
-(diving).  Each row is a few numpy operations over all subtrees at once
-(Kilpeläinen & Mannila, "Ordered and unordered tree inclusion", 1995).
-It takes D*D bools for D distinct subtrees, about 5 000 (25 MB) for the
-command line's default 400 trees.  The table numbers subtrees by root
-index, so a corpus must use one signature.
+The H table numbers the corpus's distinct subtrees by the key
+(root, *child numbers): a embeds in b iff the roots are equal and each
+child of a embeds in the same child of b (coupling), or a embeds in some
+child of b (diving) (Kilpeläinen & Mannila, "Ordered and unordered tree
+inclusion", 1995).  Renumbered by height, each height is one block of
+rows that reads only rows and columns below it, filled in place by a few
+numpy operations; number 0 is a pad of height -1 for a missing child,
+which embeds only in itself.  The table takes D*D bools for D distinct
+subtrees, about 5 000 (25 MB) for the command line's default 400 trees.
+It numbers subtrees by root index, so a corpus must use one signature.
 
 The audit then checks, on the raw pair sets rather than the counts:
 
@@ -28,7 +29,9 @@ The audit then checks, on the raw pair sets rather than the counts:
     reported as unverified, not as a failure.
 
 Since every letter is decided on its own, each of the 188 implications
-compares independently decided matrices.
+compares independently decided matrices.  One product of the 27
+flattened matrices counts, for every two orders, the pairs related under
+one and not the other, exactly: in float32 while n*n < 2**24, else float64.
 """
 
 from __future__ import annotations
@@ -61,28 +64,39 @@ class CensusResult:
 
 
 def _embedding_matrix(corpus: list[Tree]) -> np.ndarray:
-    """The H matrix from one table over the corpus's distinct subtrees."""
-    number: dict[tuple[int, ...], int] = {}  # (root, *child numbers) -> postorder number
-    numbered: dict[int, int] = {}  # id of a corpus node -> its number
-    for t in corpus:
-        # reversed preorder visits every node after its children
-        for node in reversed(list(t.nodes())):
-            key = (node.root, *(numbered[id(c)] for c in node.children))
-            numbered[id(node)] = number.setdefault(key, len(number))
-    roots = np.array([key[0] for key in number], dtype=np.intp)
-    # padding 0 is a valid number; the root mask hides it
-    kids = np.zeros((len(number), max(map(len, number), default=1) - 1), dtype=np.intp)
-    for b, key in enumerate(number):
-        kids[b, :len(key) - 1] = key[1:]
-    below = np.zeros((len(number), len(number)), dtype=bool)  # below[b, a]: a embeds in b
-    for b, (root, *children) in enumerate(number):
-        row = roots == root
-        for i, c in enumerate(children):
-            row &= below[c][kids[:, i]]
-        for c in children:
-            row |= below[c]
-        below[b] = row
-    ids = [numbered[id(t)] for t in corpus]
+    """The H matrix from one table over the corpus's distinct subtrees, by height blocks."""
+    number: dict[tuple[int, ...], int] = {(-1,): 0}  # (root, *child numbers) -> number; 0 pads
+    height = [-1]
+    # every node after its parent, and a node's children side by side
+    nodes = list(corpus)
+    for node in nodes:
+        nodes.extend(node.children)
+    numbered = [0] * len(nodes)  # the number of each node of `nodes`
+    start = len(nodes)  # where the children of nodes[k + 1] start
+    for k in range(len(nodes) - 1, -1, -1):
+        node = nodes[k]
+        start, end = start - len(node.children), start
+        key = (node.root, *numbered[start:end])
+        b = numbered[k] = number.setdefault(key, len(number))
+        if b == len(height):
+            height.append(1 + max([height[c] for c in key[1:]], default=-1))
+    width = max(map(len, number))
+    table = np.array([key + (0,) * (width - len(key)) for key in number], dtype=np.intp)
+    # renumber by height: each height is then one block of rows
+    order = np.argsort(height, kind="stable")
+    rank = np.argsort(order)
+    roots, kids = table[order, 0], rank[table[order, 1:]]
+    edges = np.searchsorted(np.sort(height), np.arange(max(height) + 2)).tolist()
+    below = np.zeros((len(order), len(order)), dtype=bool)  # below[b, a]: a embeds in b
+    below[0, 0] = True  # the pad embeds only in itself
+    for lo, hi in zip(edges, edges[1:]):
+        block = below[lo:hi, :hi]
+        np.equal(roots[lo:hi, None], roots[:hi], out=block)
+        rows = below[kids[lo:hi], :hi]  # rows[b, i]: the row of b's child i
+        for i in range(width - 1):
+            block &= rows[:, i, kids[:hi, i]]
+        block |= rows.any(1)
+    ids = rank[numbered[:len(corpus)]]
     return below[np.ix_(ids, ids)].T
 
 
@@ -94,8 +108,12 @@ def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarra
         return ids[:, None] == ids[None, :]
     if letter == "H":
         return _embedding_matrix(corpus)
-    check = base_relation(letter, y_threshold)
     n = len(corpus)
+    if letter == "B":
+        # a sub-multiset: no constructor count above the other's
+        bags = np.array([t.bag for t in corpus], dtype=np.intp).reshape(n, -1 if n else 0)
+        return (bags[:, None] <= bags[None]).all(-1)
+    check = base_relation(letter, y_threshold)
     return np.array([[check(s, t) for t in corpus] for s in corpus], dtype=bool).reshape(n, n)
 
 
@@ -192,7 +210,8 @@ def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> A
     """Audit a census over all named orders; see the module docstring.
 
     Every base letter is decided on every pair, so each implication
-    compares matrices that were decided independently.
+    compares matrices that were decided independently; one product of
+    the flattened matrices counts the pairs that separate any two orders.
 
     If the result lacks a named order's matrix (a partial census), the
     corpus is required so they can be recomputed.
@@ -206,15 +225,19 @@ def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> A
 
     report = AuditReport()
     mats = result.matrices
+    # only[f, c]: the pairs related under f but not under c, exact in either dtype
+    row = {s.name: i for i, s in enumerate(specs)}
+    flat = np.array([mats[s.name].ravel() for s in specs],
+                    dtype=np.float32 if mats["S"].size < 2 ** 24 else np.float64)
+    only = flat.sum(1)[:, None] - flat @ flat.T
 
     implication_pairs, covering_edges = named_implications()
 
     # (a) every implication, pointwise on pairs
     for fine, coarse in implication_pairs:
         report.implications_checked += 1
-        bad = mats[fine] & ~mats[coarse]
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
+        if only[row[fine], row[coarse]]:
+            i, j = map(int, np.argwhere(mats[fine] & ~mats[coarse])[0])
             report.violations.append(
                 f"implication {fine} => {coarse} violated at corpus pair ({i}, {j})"
             )
@@ -232,7 +255,7 @@ def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> A
 
     # (c) strictness on the covering edges of the implication order
     for fine, coarse in covering_edges:
-        separating = int((mats[coarse] & ~mats[fine]).sum())
+        separating = int(only[row[coarse], row[fine]])
         if separating:
             report.strict_verified.append((fine, coarse, separating))
         else:

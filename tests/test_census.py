@@ -1,17 +1,20 @@
 import io
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treewqo import (
+    CensusResult,
     GeneratorConfig,
     Signature,
     Tree,
     WqoSpec,
     all_named_specs,
     census,
+    default_config,
     default_signature,
     generate_corpus,
     hierarchy_audit,
@@ -23,6 +26,7 @@ from treewqo import (
     render_tree,
     write_census_tsv,
 )
+from treewqo.orders import named_implications
 
 from .oracles import dp_is_subsequence, naive_embeds
 from .strategies import trees_over
@@ -55,6 +59,43 @@ def test_single_tree_corpus(sig, texts, count):
     corpus = [parse_tree(x, sig) for x in texts]
     result = census(corpus, [parse_wqo_name("H")])
     assert result.counts == {"H": count}
+
+
+# the nullary-only signature has no child slot for the H table to pad
+DEGENERATE = {"empty": ([], None), "one-tree": (["c(b(a),a)"], None),
+              "nullary-only": (["x", "y", "x"], Signature([("x", 0), ("y", 0)]))}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_corpus_full_census_and_audit(sig, name):
+    texts, signature = DEGENERATE[name]
+    corpus = [parse_tree(x, signature or sig) for x in texts]
+    n = len(corpus)
+    result = census(corpus)
+    # only equal trees are related (the diagonal, and x with the other x),
+    # except under Y, which relates any two trees without a repeated constructor
+    equal = sum(render_tree(s) == render_tree(t) for s in corpus for t in corpus)
+    expected = {spec.name: equal for spec in all_named_specs()}
+    expected["Y"] = sum(rel_repeated(s, t, 2) for s in corpus for t in corpus)
+    assert result.counts == expected
+    assert all(m.shape == (n, n) and m.dtype == bool
+               for m in [*result.matrices.values(), *result.base_matrices.values()])
+    _assert_base_matches_naive(corpus)
+    report = hierarchy_audit(result)
+    assert report.ok, report.summary()
+    assert report.implications_checked == len(named_implications()[0])
+
+
+def test_pinned_counts():
+    # the 27 counts of one small generated corpus, fixed so that a rewrite
+    # of any kernel or of the census cannot drift unnoticed
+    cfg = default_config(seed=1, corpus_size=40, size_cap=200)
+    assert census(generate_corpus(cfg), config=cfg).counts == {
+        "B": 646, "E": 412, "H": 349, "M": 289, "MB": 239, "P": 483, "S": 797,
+        "SB": 642, "Y": 404, "YB": 163, "YE": 60, "YH": 58, "YM": 174, "YMB": 134,
+        "YP": 71, "YS": 211, "YSB": 159, "YZ": 326, "YZB": 138, "YZE": 46, "YZH": 44,
+        "YZP": 55, "Z": 560, "ZB": 243, "ZE": 95, "ZH": 74, "ZP": 127,
+    }
 
 
 def test_counts_deterministic(small_corpus):
@@ -197,6 +238,42 @@ class TestAudit:
         unverified = set(report.strict_unverified)
         assert verified or unverified
         assert not verified & unverified
+
+    def test_finds_violations_and_counts_separations(self, small_census):
+        implication_pairs, covering_edges = named_implications()
+        mats = small_census.matrices
+        # strictness: each separating count is the coarse order's pairs
+        # outside the fine one
+        report = hierarchy_audit(small_census)
+        for fine, coarse, count in report.strict_verified:
+            assert count == int((mats[coarse] & ~mats[fine]).sum()) > 0
+        for fine, coarse in report.strict_unverified:
+            assert not (mats[coarse] & ~mats[fine]).any()
+        assert (len(report.strict_verified) + len(report.strict_unverified)
+                == len(covering_edges))
+
+        # a copy with one H pair that E lacks and one M pair outside Z & S
+        mats = {name: m.copy() for name, m in mats.items()}
+        base = {name: m.copy() for name, m in small_census.base_matrices.items()}
+        i, j = map(int, np.argwhere(~mats["E"])[0])
+        mats["H"][i, j] = True
+        i, j = map(int, np.argwhere(~(base["Z"] & base["S"]))[-1])
+        mats["M"][i, j] = True
+        tampered = CensusResult(counts=dict(small_census.counts), corpus_size=small_census.corpus_size,
+                                y_threshold=small_census.y_threshold, matrices=mats,
+                                base_matrices=base)
+        report = hierarchy_audit(tampered)
+        expected = []
+        for fine, coarse in implication_pairs:
+            bad = mats[fine] & ~mats[coarse]
+            if bad.any():
+                i, j = map(int, np.argwhere(bad)[0])
+                expected.append(f"implication {fine} => {coarse} violated at corpus pair ({i}, {j})")
+        assert any("H => E" in v for v in expected)
+        assert any("M => Z " in v for v in expected)
+        assert report.violations == expected
+        assert report.identities["M=ZS"] is False
+        assert not report.ok
 
     def test_recomputes_from_corpus(self, small_corpus):
         corpus, cfg = small_corpus
