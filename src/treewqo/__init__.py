@@ -32,10 +32,8 @@ from .orders import (
 from .signature import (
     Constructor,
     ConstructorBag,
-    ConstructorSet,
     ParseError,
     Signature,
-    TraversalString,
     TraversalSymbol,
     Tree,
     constructor_bag,

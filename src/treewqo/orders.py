@@ -137,9 +137,12 @@ def implies(finer: WqoSpec, coarser: WqoSpec) -> bool:
     """True when finer-relatedness entails coarser-relatedness.
 
     Holds iff every component of the coarser spec is matched or implied by
-    some component of the finer one (after expanding M into Z and S).
+    some component of the finer one (after expanding M into Z and S); Y
+    matches only Y of the same threshold.
     """
     fine = finer.expanded
+    if finer.y_threshold != coarser.y_threshold:
+        fine -= {"Y"}
     return all(
         any(c == d or c in _IMPLIES[d] for d in fine) for c in coarser.expanded
     )
@@ -204,7 +207,7 @@ def multiset_leq(b1: ConstructorBag, b2: ConstructorBag) -> bool:
     """Bag order: equal bags, or equal supports with b1 strictly smaller."""
     if b1.counts == b2.counts:
         return True
-    return b1.support().mask == b2.support().mask and b1.total() < b2.total()
+    return b1.support() == b2.support() and b1.total() < b2.total()
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +355,10 @@ def conjunction(spec: WqoSpec) -> Callable[[Tree, Tree], bool]:
 
 
 def rel(spec: WqoSpec, s: Tree, t: Tree) -> bool:
-    """Combined relation on one pair, decided as `conjunction(spec)` decides
-    it, without building the predicate for a single call."""
+    """Combined relation on one pair of trees over one signature, decided as
+    `conjunction(spec)` decides it, without building the predicate per call."""
+    if s.sig is not t.sig and s.sig != t.sig:
+        raise ValueError("trees over different signatures")
     for letter in LETTERS:
         if letter in spec.components and not base_relation(letter, spec.y_threshold)(s, t):
             return False

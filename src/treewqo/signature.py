@@ -16,11 +16,11 @@ outlives the call in any cache.
 The heavier whole-tree measures are computed once on first access and
 cached on the node as plain tuples of ints: `bag` holds one count per
 constructor, `pre` and `eul` the preorder and Euler traversal codes.  The
-order kernels read these tuples directly; the measure functions
-(`constructor_bag`, `pre_traversal`, `euler_traversal`) wrap them in
-`ConstructorBag` / `TraversalString` for callers who want names and
-symbols.  All traversals are iterative, so deep chain-shaped trees do not
-hit the interpreter recursion limit.
+order kernels read these tuples directly; the measure functions decode
+them into names and symbols: `constructor_set` and `repeated_set` return
+a frozenset of names, `constructor_bag` a `ConstructorBag`, and the two
+traversals a tuple of `TraversalSymbol`.  All traversals are iterative,
+so deep chain-shaped trees do not hit the interpreter recursion limit.
 
 Traversal strings use one alphabet for both traversals: the symbol "c
 visited i times" is encoded as ``index(c) * (max_arity + 1) + i``.  A
@@ -43,10 +43,8 @@ __all__ = [
     "Constructor",
     "Signature",
     "Tree",
-    "ConstructorSet",
     "ConstructorBag",
     "TraversalSymbol",
-    "TraversalString",
     "ParseError",
     "parse_tree",
     "render_tree",
@@ -203,7 +201,7 @@ class Signature:
 
     @classmethod
     def from_file(cls, path) -> "Signature":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return cls.parse(fh.read())
 
 
@@ -338,36 +336,6 @@ def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tre
     return t
 
 
-class ConstructorSet:
-    """A subset of a signature's constructors, stored as a bitmask."""
-
-    __slots__ = ("sig", "mask")
-
-    def __init__(self, sig: Signature, mask: int):
-        self.sig = sig
-        self.mask = mask
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConstructorSet):
-            return NotImplemented
-        return self.sig == other.sig and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    def __le__(self, other: "ConstructorSet") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def names(self) -> frozenset[str]:
-        return frozenset(n for i, n in enumerate(self.sig.names) if self.mask >> i & 1)
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(sorted(self.names())) + "}"
-
-
 class ConstructorBag:
     """A multiset over a signature's constructors (one count per constructor)."""
 
@@ -400,12 +368,8 @@ class ConstructorBag:
     def total(self) -> int:
         return sum(self.counts)
 
-    def support(self) -> ConstructorSet:
-        mask = 0
-        for i, c in enumerate(self.counts):
-            if c:
-                mask |= 1 << i
-        return ConstructorSet(self.sig, mask)
+    def support(self) -> frozenset[str]:
+        return frozenset(n for n, c in zip(self.sig.names, self.counts) if c)
 
     def __repr__(self) -> str:
         inner = ",".join(f"{n}:{c}" for n, c in zip(self.sig.names, self.counts) if c)
@@ -420,58 +384,33 @@ class TraversalSymbol(NamedTuple):
     visit: int
 
 
-class TraversalString:
-    """A string of traversal symbols, stored as packed integer codes."""
-
-    __slots__ = ("sig", "codes")
-
-    def __init__(self, sig: Signature, codes: tuple[int, ...]):
-        self.sig = sig
-        self.codes = codes
-
-    @property
-    def symbols(self) -> tuple[TraversalSymbol, ...]:
-        stride = self.sig.sym_stride
-        names = self.sig.names
-        return tuple(TraversalSymbol(names[c // stride], c % stride) for c in self.codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self) -> Iterator[TraversalSymbol]:
-        return iter(self.symbols)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TraversalString):
-            return NotImplemented
-        return self.sig == other.sig and self.codes == other.codes
-
-    def __hash__(self) -> int:
-        return hash(self.codes)
-
-    def __str__(self) -> str:
-        return " ".join(f"{s.constructor}{s.visit}" for s in self.symbols)
-
-    def __repr__(self) -> str:
-        return f"TraversalString({self})"
-
-
 # ---------------------------------------------------------------------------
-# measures: the wrapper types over the plain cached Tree attributes
+# measures: the plain cached Tree fields decoded into names and symbols
+
+def _names(sig: Signature, mask: int) -> frozenset[str]:
+    """The names of the constructors whose bits are set in mask."""
+    return frozenset(n for i, n in enumerate(sig.names) if mask >> i & 1)
+
+
+def _symbols(sig: Signature, codes: tuple[int, ...]) -> tuple[TraversalSymbol, ...]:
+    """Traversal codes decoded through the stride encoding."""
+    stride = sig.sym_stride
+    return tuple(TraversalSymbol(sig.names[c // stride], c % stride) for c in codes)
+
 
 def size(t: Tree) -> int:
     """Number of nodes (constructor occurrences) in t."""
     return t.size
 
 
-def constructor_set(t: Tree) -> ConstructorSet:
-    """The set of constructors occurring in t."""
-    return ConstructorSet(t.sig, t.mask)
+def constructor_set(t: Tree) -> frozenset[str]:
+    """The names of the constructors occurring in t."""
+    return _names(t.sig, t.mask)
 
 
-def repeated_set(t: Tree, k: int = 2) -> ConstructorSet:
-    """The set of constructors occurring at least k times in t (k >= 2)."""
-    return ConstructorSet(t.sig, repeated_mask(t, k))
+def repeated_set(t: Tree, k: int = 2) -> frozenset[str]:
+    """The names of the constructors occurring at least k times in t (k >= 2)."""
+    return _names(t.sig, repeated_mask(t, k))
 
 
 def repeated_mask(t: Tree, k: int = 2) -> int:
@@ -489,15 +428,15 @@ def constructor_bag(t: Tree) -> ConstructorBag:
     return ConstructorBag(t.sig, t.bag)
 
 
-def pre_traversal(t: Tree) -> TraversalString:
+def pre_traversal(t: Tree) -> tuple[TraversalSymbol, ...]:
     """Constructors of t in preorder; injective over trees of one signature."""
-    return TraversalString(t.sig, t.pre)
+    return _symbols(t.sig, t.pre)
 
 
-def euler_traversal(t: Tree) -> TraversalString:
+def euler_traversal(t: Tree) -> tuple[TraversalSymbol, ...]:
     """Euler-tour string of t: each node is revisited between and after its
     children, emitting (constructor, visits-so-far) symbols."""
-    return TraversalString(t.sig, t.eul)
+    return _symbols(t.sig, t.eul)
 
 
 def tree_hash(t: Tree) -> int:
@@ -622,8 +561,8 @@ def render_tree(t: Tree) -> str:
 def iter_trees(path, sig: Signature) -> Iterator[Tree]:
     """Yield the trees of a tree file, reading one line per tree; ParseError
     messages are prefixed with the line number, positions count from the
-    start of the line."""
-    with open(path, encoding="utf-8") as fh:
+    start of the line.  A leading byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             # leading whitespace is kept, so positions count it
             line = raw.rstrip()

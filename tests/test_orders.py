@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from treewqo import (
     ConstructorBag,
+    Signature,
     WqoSpec,
     all_named_specs,
     implies,
@@ -288,3 +289,24 @@ class TestSpecs:
         assert not implies(mk("S"), mk("B"))
         assert not implies(mk("Y"), mk("Z"))
         assert implies(mk("MP"), mk("ZP")) and implies(mk("ZP"), mk("MP"))
+
+    def test_implies_needs_one_y_threshold(self, sig):
+        y2, y3 = parse_wqo_name("Y"), parse_wqo_name("Y", 3)
+        assert not implies(y3, y2) and not implies(y2, y3)
+        assert implies(y3, parse_wqo_name("Y", 3))
+        assert implies(parse_wqo_name("YZ", 3), parse_wqo_name("Z"))
+        # each direction fails on a pair related at one threshold only
+        s, t = parse_tree("c(a,a)", sig), parse_tree("b(a)", sig)
+        assert rel(y3, s, t) and not rel(y2, s, t)
+        s, t = parse_tree("d(a,a,a)", sig), parse_tree("c(a,a)", sig)
+        assert rel(y2, s, t) and not rel(y3, s, t)
+
+    def test_rel_rejects_mixed_signatures(self, sig):
+        # by constructor index, b(a) and y(x) would be related under Z and B
+        s, t = parse_tree("b(a)", sig), parse_tree("y(x)", Signature([("x", 0), ("y", 1)]))
+        for name in ("Z", "B"):
+            with pytest.raises(ValueError, match="different signatures"):
+                rel(parse_wqo_name(name), s, t)
+        # an equal signature built separately is the same signature
+        twin = Signature(sig.constructors)
+        assert rel(parse_wqo_name("Z"), s, parse_tree("b(b(a))", twin))

@@ -34,7 +34,7 @@ MULTI_SIG = Signature([("nil", 0), ("x1", 0), ("wrap", 1), ("cons", 2), ("t3", 3
 
 
 def sym_str(ts):
-    return [(s.constructor, s.visit) for s in ts.symbols]
+    return [(s.constructor, s.visit) for s in ts]
 
 
 class TestParsing:
@@ -242,14 +242,14 @@ class TestMeasures:
         assert size(worked["C"]) == 7
 
     def test_constructor_set(self, sig, worked):
-        assert constructor_set(parse_tree("a", sig)).names() == {"a"}
-        assert constructor_set(worked["A"]).names() == {"a", "b"}
-        assert constructor_set(worked["B"]).names() == {"a", "b", "c"}
+        assert constructor_set(parse_tree("a", sig)) == {"a"}
+        assert constructor_set(worked["A"]) == {"a", "b"}
+        assert constructor_set(worked["B"]) == {"a", "b", "c"}
 
     def test_repeated_set(self, worked):
-        assert repeated_set(worked["A"], 2).names() == {"b"}
-        assert repeated_set(worked["B"], 2).names() == {"a", "b"}
-        assert repeated_set(worked["C"], 2).names() == {"a", "b"}
+        assert repeated_set(worked["A"], 2) == {"b"}
+        assert repeated_set(worked["B"], 2) == {"a", "b"}
+        assert repeated_set(worked["C"], 2) == {"a", "b"}
 
     def test_repeated_set_rejects_small_k(self, worked):
         with pytest.raises(ValueError):
@@ -305,11 +305,12 @@ class TestMeasureProperties:
     @settings(max_examples=200)
     def test_size_consistency(self, t):
         assert size(t) == constructor_bag(t).total() == len(pre_traversal(t))
-        # the cached measures are plain tuples, which the measure functions wrap
+        # the cached measures are plain tuples, which the measure functions decode
         assert all(type(m) is tuple for m in (t.bag, t.pre, t.eul))
         assert t.bag == constructor_bag(t).counts
-        assert t.pre == pre_traversal(t).codes
-        assert t.eul == euler_traversal(t).codes
+        stride = t.sig.sym_stride
+        for codes, symbols in ((t.pre, pre_traversal(t)), (t.eul, euler_traversal(t))):
+            assert codes == tuple(t.sig.index(c) * stride + visit for c, visit in symbols)
 
     @given(t=trees())
     @settings(max_examples=200)
@@ -336,8 +337,8 @@ class TestMeasureProperties:
     @given(t=trees())
     @settings(max_examples=200)
     def test_pre_is_first_visits_of_euler(self, t):
-        firsts = [s.constructor for s in euler_traversal(t).symbols if s.visit == 0]
-        assert firsts == [s.constructor for s in pre_traversal(t).symbols]
+        firsts = [s.constructor for s in euler_traversal(t) if s.visit == 0]
+        assert firsts == [s.constructor for s in pre_traversal(t)]
 
     @given(t=trees(), u=trees())
     @settings(max_examples=200)
@@ -370,6 +371,22 @@ def test_tree_file_error_carries_line(tmp_path, sig):
     with pytest.raises(ParseError, match="line 2: .* at position 5") as exc:
         load_trees(path, sig)
     assert exc.value.position == 5
+
+
+def test_signature_file_byte_order_mark_skipped(tmp_path):
+    path = tmp_path / "sig.txt"
+    path.write_text("\ufeffa 0\nb 1\n", encoding="utf-8")
+    assert Signature.from_file(path).names == ("a", "b")
+
+
+def test_tree_file_byte_order_mark_skipped(tmp_path, sig):
+    path = tmp_path / "trees.txt"
+    path.write_text("\ufeffb(a)\na\n", encoding="utf-8")
+    ts = load_trees(path, sig)
+    assert [render_tree(t) for t in ts] == ["b(a)", "a"]
+    # written back as plain UTF-8, without the mark
+    save_trees(path, ts)
+    assert path.read_bytes() == b"b(a)\na\n"
 
 
 def test_deep_tree_no_recursion_limit(sig):
