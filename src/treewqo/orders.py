@@ -198,13 +198,20 @@ def is_subsequence(v, w) -> bool:
     return False
 
 
+def _same_signature(b1: ConstructorBag, b2: ConstructorBag) -> None:
+    if b1.sig is not b2.sig and b1.sig != b2.sig:
+        raise ValueError("bags over different signatures")
+
+
 def multiset_subset(b1: ConstructorBag, b2: ConstructorBag) -> bool:
     """Pointwise multiset inclusion: every count in b1 is <= its count in b2."""
+    _same_signature(b1, b2)
     return all(map(le, b1.counts, b2.counts))
 
 
 def multiset_leq(b1: ConstructorBag, b2: ConstructorBag) -> bool:
     """Bag order: equal bags, or equal supports with b1 strictly smaller."""
+    _same_signature(b1, b2)
     if b1.counts == b2.counts:
         return True
     return b1.support() == b2.support() and b1.total() < b2.total()

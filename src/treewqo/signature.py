@@ -466,9 +466,29 @@ def tree_equal(t: Tree, u: Tree) -> bool:
 
 # ---------------------------------------------------------------------------
 # term grammar:  term := NAME | NAME "(" term ("," term)* ")"
+#
+# The tokens are "(", ")", "," and names; whitespace only separates them.
+# Padding every delimiter with spaces and splitting on whitespace yields the
+# tokens: `str.split()` splits on exactly the characters `\s` matches, the
+# ones a _NAME excludes.  A final "" token stands for end of input.
 
-# one token per match; the empty match at the end of the text marks end of input
-_TOKEN = re.compile(rf"[(),]|{_NAME}|\Z")
+def _tokens(text: str) -> list[str]:
+    """The tokens of a term's text, then "" for end of input."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+    tokens.append("")
+    return tokens
+
+
+def _offset(text: str, tokens: list[str], at: int) -> int:
+    """Character offset of tokens[at] in text.  Only whitespace lies between
+    two tokens, so each one is the first occurrence of its text after the
+    end of the one before; the final "" is at the end of the text."""
+    if not tokens[at]:
+        return len(text)
+    pos = 0
+    for tok in tokens[:at]:
+        pos = text.find(tok, pos) + len(tok)
+    return text.find(tokens[at], pos)
 
 
 def _arity_mismatch(sig: Signature, cidx: int, got: int) -> str:
@@ -479,10 +499,13 @@ def parse_tree(text: str, sig: Signature) -> Tree:
     """Parse one term; whitespace is insignificant.
 
     Raises ParseError for unknown constructors, arity mismatches (with the
-    offending constructor's position) and malformed syntax.  The parser
-    checks every name and arity itself and builds nodes without `Tree()`'s
-    checks.  Within one call, every occurrence of a nullary constructor is
-    one shared leaf; two calls share no node.
+    offending constructor's position) and malformed syntax.  The text is
+    split into tokens by `str` builtins (see `_tokens`) and the parser
+    counts positions in tokens; only an error turns its token index into
+    a character offset, by walking the same token list (`_offset`).  The
+    parser checks every name and arity itself and builds nodes without
+    `Tree()`'s checks.  Within one call, every occurrence of a nullary
+    constructor is one shared leaf; two calls share no node.
     """
     index = sig._index
     arities = sig.arities
@@ -490,7 +513,8 @@ def parse_tree(text: str, sig: Signature) -> Tree:
     frames: list[tuple[int, int, list[Tree]]] = []  # open terms: (constructor, name token, children)
     error = None
     # positions are token indices until an error needs the character offset
-    tokens = enumerate(_TOKEN.findall(text))
+    toks = _tokens(text)
+    tokens = enumerate(toks)
     for at, tok in tokens:  # a name must come here
         cidx = index.get(tok)
         if cidx is None:
@@ -530,7 +554,7 @@ def parse_tree(text: str, sig: Signature) -> Tree:
             error = f"unexpected {tok!r} after term"
         if error is not None:
             break
-    at = list(_TOKEN.finditer(text))[at].start()
+    at = _offset(text, toks, at)
     raise ParseError(f"{error} at position {at}", at)
 
 

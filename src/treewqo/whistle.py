@@ -31,7 +31,7 @@ the position at which the witnessing element was pushed.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .orders import KEY_LETTERS, WqoSpec, base_relation, conjunction, implies, partition_key
 from .signature import Signature, Tree
@@ -39,8 +39,7 @@ from .signature import Signature, Tree
 __all__ = ["PushOutcome", "SequenceChecker", "NaiveChecker"]
 
 
-@dataclass(frozen=True)
-class PushOutcome:
+class PushOutcome(NamedTuple):
     position: int
     whistled: bool
     witness: int | None = None
@@ -71,7 +70,7 @@ class _CheckerBase:
     def _enter(self, t: Tree) -> None:
         if self.sig is None:
             self.sig = t.sig
-        elif t.sig != self.sig:
+        elif t.sig is not self.sig and t.sig != self.sig:
             raise ValueError("tree pushed over a different signature")
 
 

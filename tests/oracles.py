@@ -1,6 +1,12 @@
 """Independent reference implementations used only to cross-check the
-package: a table-filling subsequence decision and a direct, memo-free
-recursive embedding check.  Kept deliberately naive."""
+package: a table-filling subsequence decision, a direct, memo-free
+recursive embedding check and a one-regex term tokenizer.  Kept
+deliberately naive."""
+
+import re
+
+# one term token per match; the empty match at the end stands for end of input
+_TERM_TOKEN = re.compile(r"[(),]|[^\s(),]+|\Z")
 
 
 def dp_is_subsequence(v, w) -> bool:
@@ -26,3 +32,9 @@ def naive_embeds(s, t) -> bool:
     ):
         return True
     return any(naive_embeds(s, ct) for ct in t.children)
+
+
+def regex_tokens(text: str) -> list[tuple[str, int]]:
+    """The tokens of a term's text with their character offsets, ending in
+    ("", len(text)) for end of input."""
+    return [(m.group(), m.start()) for m in _TERM_TOKEN.finditer(text)]

@@ -6,6 +6,7 @@ from treewqo import (
     Signature,
     WqoSpec,
     all_named_specs,
+    default_signature,
     implies,
     is_subsequence,
     multiset_leq,
@@ -66,6 +67,24 @@ class TestBagOrders:
         assert not multiset_leq(mk({"a": 1}), mk({"a": 1, "b": 1}))
         b = mk({"a": 2, "d": 2})
         assert multiset_leq(b, b)
+
+    def test_bags_over_different_signatures_rejected(self, sig):
+        xy = Signature([("x", 0), ("y", 1)])
+        with pytest.raises(ValueError, match="bags over different signatures"):
+            multiset_subset(ConstructorBag.of(xy, {"x": 1}),
+                            ConstructorBag.of(sig, {"a": 1, "d": 5}))
+        ab = Signature([("a", 0), ("b", 1)])
+        ac = Signature([("a", 0), ("c", 1)])
+        with pytest.raises(ValueError, match="bags over different signatures"):
+            multiset_leq(ConstructorBag(ab, (1, 0)), ConstructorBag(ac, (1, 0)))
+
+    def test_bags_over_equal_signatures_accepted(self, sig):
+        twin = default_signature()
+        assert twin is not sig and twin == sig
+        small = ConstructorBag.of(sig, {"a": 1, "b": 1})
+        big = ConstructorBag.of(twin, {"a": 2, "b": 1})
+        assert multiset_subset(small, big) and multiset_leq(small, big)
+        assert not multiset_subset(big, small) and not multiset_leq(big, small)
 
 
 class TestBaseRelations:

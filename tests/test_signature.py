@@ -26,8 +26,20 @@ from treewqo import (
     tree_hash,
 )
 
+from treewqo.signature import _offset, _tokens
+
+from .oracles import regex_tokens
 from .strategies import trees, trees_over
 
+
+# what term text is made of: delimiters, names, every whitespace class and
+# zero-width characters that are not whitespace
+TOKENIZER_PIECES = (
+    ["(", ")", ",", "a", "b", "nil", "x1"]
+    + list("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000 ")
+    + [chr(c) for c in range(0x2000, 0x200B)]
+    + ["\u200b", "\ufeff", "\u180e"]
+)
 
 # multi-character names, two of them nullary
 MULTI_SIG = Signature([("nil", 0), ("x1", 0), ("wrap", 1), ("cons", 2), ("t3", 3)])
@@ -102,6 +114,20 @@ class TestParsing:
             ("d(a, a a)", "expected ',' or ')', found 'a'", 7),
             ("b( a ", "unexpected end of input", 5),
             ("   ", "unexpected end of input", 3),
+            # Unicode whitespace separates tokens; zero-width look-alikes
+            # are not whitespace and belong to names
+            ("b(\u3000x)", "unknown constructor 'x'", 3),
+            ("a\u2028b", "unexpected 'b' after term", 2),
+            ("c(a,\xa0\u205f", "unexpected end of input", 6),
+            ("\x1cb(a)\x1d)", "unexpected ')' after term", 6),
+            ("c(a\x85,\u1680\u2000)", "expected a constructor, found ')'", 7),
+            ("d(a,\u2029a\x0ba)", "expected ',' or ')', found 'a'", 7),
+            ("b(\u202f\x1f\x1e", "unexpected end of input", 5),
+            ("c(\ta\x0c,\r\nb(a)\u2009\u200a)\u3000\x1ca",
+             "unexpected 'a' after term", 17),
+            ("b(a\u200b)", "unknown constructor 'a\\u200b'", 2),
+            ("\ufeffa", "unknown constructor '\\ufeffa'", 0),
+            ("\u180eb(a)", "unknown constructor '\\u180eb'", 0),
         ]
     ])
     def test_error_positions_count_whitespace(self, sig, bad, message, position):
@@ -110,6 +136,15 @@ class TestParsing:
             parse_tree(bad, sig)
         assert str(exc.value) == f"{message} at position {position}"
         assert exc.value.position == position
+
+    @given(text=st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=24).map("".join))
+    @settings(max_examples=500)
+    def test_tokens_match_regex_oracle(self, text):
+        tokens = _tokens(text)
+        expected = regex_tokens(text)
+        assert tokens == [tok for tok, _ in expected]
+        assert [_offset(text, tokens, at) for at in range(len(tokens))] == \
+               [start for _, start in expected]
 
     @given(t=trees())
     @settings(max_examples=200)

@@ -4,6 +4,7 @@ from treewqo import (
     GeneratorConfig,
     NaiveChecker,
     SequenceChecker,
+    Signature,
     SplitMix64,
     Tree,
     all_named_specs,
@@ -62,12 +63,35 @@ class TestPushExamples:
 
     def test_signature_mismatch_rejected(self, sig):
         other = default_signature()
-        from treewqo import Signature
         tiny = Signature([("x", 0)])
         chk = SequenceChecker(parse_wqo_name("S"))
         chk.push(parse_tree("a", other))
         with pytest.raises(ValueError, match="different signature"):
             chk.push(parse_tree("x", tiny))
+
+    def test_outcome_contract(self, sig):
+        chk = SequenceChecker(parse_wqo_name("S"))
+        admit, whistle = push_all(chk, stream_of(sig, "a", "b(a)"))
+        # the repr README shows and the lines `treewqo whistle` prints
+        assert repr(admit) == "PushOutcome(position=0, whistled=False, witness=None)"
+        assert (str(admit), str(whistle)) == ("0\tADMIT", "1\tWHISTLE\t0")
+        assert admit.admitted and not whistle.admitted
+        with pytest.raises(AttributeError):
+            admit.position = 5
+        again = SequenceChecker(parse_wqo_name("S")).push(parse_tree("a", sig))
+        assert again is not admit
+        assert again == admit and hash(again) == hash(admit)
+        assert again != whistle
+
+    @pytest.mark.parametrize("checker", [SequenceChecker, NaiveChecker])
+    def test_equal_signature_object_accepted(self, sig, checker):
+        twin = default_signature()
+        assert twin is not sig and twin == sig
+        chk = checker(parse_wqo_name("S"))
+        chk.push(parse_tree("b(a)", sig))
+        assert chk.push(parse_tree("a", twin)).admitted
+        with pytest.raises(ValueError, match="different signature"):
+            chk.push(parse_tree("a", Signature([("a", 0), ("b", 1)])))
 
     def test_reset(self, sig):
         chk = SequenceChecker(parse_wqo_name("S"))
