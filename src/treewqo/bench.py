@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from .orders import WqoSpec, conjunction
-from .signature import Signature, Tree, default_signature
+from .signature import Signature, Tree, _build, default_signature
 from .whistle import NaiveChecker, SequenceChecker
 
 __all__ = ["BenchReport", "bench_whistle", "monotone_stream"]
@@ -53,12 +53,9 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
             counts.pop()
 
     for counts in walk(size - 1, 0, []):
-        t = Tree(sig, leaf)
-        for w, m in zip(wrappers, counts):
-            pad = arities[w] - 1
-            for _ in range(m):
-                t = Tree(sig, w, (t,) + tuple(Tree(sig, leaf) for _ in range(pad)))
-        yield t
+        # innermost first; in preorder come the wrappers outermost first, then leaves
+        chain = [w for w, m in zip(wrappers, counts) for _ in range(m)]
+        yield _build(sig, chain[::-1] + [leaf] * (size - len(chain)))
 
 
 def monotone_stream(sig: Signature, n: int, tree_size: int) -> list[Tree]:

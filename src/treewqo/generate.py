@@ -17,17 +17,21 @@ platforms and implementations:
     output := z XOR z>>31
 
 Uniform [0, 1) variates take the top 53 bits.  Constructors are chosen by
-inverse CDF in signature order.  A draw whose size exceeds `size_cap` is
-abandoned and redrawn from scratch (the already-consumed randomness is not
-rewound, keeping the sequence deterministic).
+inverse CDF in signature order.  A draw is the list of its constructor
+indices in preorder.  A draw that would exceed `size_cap` is abandoned at
+the pick that would exceed it, which is never drawn, and redrawn from
+scratch (the already-consumed randomness is not rewound, keeping the
+sequence deterministic).  Only accepted draws are built into trees.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .signature import Signature, Tree, _fill, _new_tree, default_signature
+from .signature import Signature, Tree, _build, default_signature
 
 __all__ = ["SplitMix64", "GeneratorConfig", "random_tree", "generate_corpus",
            "default_config"]
@@ -97,61 +101,32 @@ class GeneratorConfig:
 _RETRY_LIMIT = 1_000_000
 
 
-class _Oversize(Exception):
-    pass
-
-
-def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> Tree:
-    sig = cfg.signature
-    probs = sig.probabilities
-    arities = sig.arities
+def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> list[int] | None:
+    """One draw's constructor indices in preorder, or None at the pick that
+    would exceed the size cap; that pick consumes no randomness."""
+    cdf = list(accumulate(cfg.signature.probabilities))
+    last = len(cdf) - 1
+    arities = cfg.signature.arities
     cap = cfg.size_cap
-    count = 0
-
-    def pick() -> int:
-        nonlocal count
-        count += 1
-        if count > cap:
-            raise _Oversize
-        u = rng.next_float()
-        acc = 0.0
-        for i, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                return i
-        return len(probs) - 1  # guard against rounding at u ~ 1.0
-
-    # build iteratively: draw the preorder skeleton, assembling nodes as
-    # each subtree completes, so deep trees cannot overflow the call stack;
-    # the stack matches every arity, so nodes skip Tree()'s checks
-    root = pick()
-    if arities[root] == 0:
-        return _fill(_new_tree(Tree), sig, root, ())
-    stack: list[tuple[int, list[Tree]]] = [(root, [])]
-    while True:
-        cidx, kids = stack[-1]
-        if len(kids) == arities[cidx]:
-            stack.pop()
-            node = _fill(_new_tree(Tree), sig, cidx, tuple(kids))
-            if not stack:
-                return node
-            stack[-1][1].append(node)
-        else:
-            nxt = pick()
-            if arities[nxt] == 0:
-                kids.append(_fill(_new_tree(Tree), sig, nxt, ()))
-            else:
-                stack.append((nxt, []))
+    roots: list[int] = []
+    open_slots = 1
+    while open_slots:
+        if len(roots) == cap:
+            return None
+        # clamped against rounding of the last sum below 1
+        root = min(bisect_right(cdf, rng.next_float()), last)
+        roots.append(root)
+        open_slots += arities[root] - 1
+    return roots
 
 
 def random_tree(cfg: GeneratorConfig, rng: SplitMix64) -> Tree:
     """One tree from the configured distribution; oversize draws are
     resampled from scratch, up to the retry limit."""
     for _ in range(_RETRY_LIMIT):
-        try:
-            return _draw(cfg, rng)
-        except _Oversize:
-            continue
+        roots = _draw(cfg, rng)
+        if roots is not None:
+            return _build(cfg.signature, roots)
     raise RuntimeError(f"gave up after {_RETRY_LIMIT} oversize draws (cap {cfg.size_cap})")
 
 

@@ -8,10 +8,10 @@ children of every node must equal its constructor's declared arity.
 Every tree node eagerly carries the cheap bottom-up measures (size,
 constructor-set bitmask, structural hash) so that sequence checkers never
 recompute them; `_fill` is their one definition.  `Tree()` checks arity
-and signature before it.  `parse_tree` and the generator check both on
-their own stacks and build nodes through `_fill` unchecked; `parse_tree`
-also shares one leaf per nullary constructor within one call, and no node
-outlives the call in any cache.
+and signature before it.  The parser, the generator and `monotone_stream`
+match every arity themselves and build unchecked, the last two through
+`_build`.  Parsed and generated trees share one leaf per nullary
+constructor within one call, and no node outlives the call in any cache.
 
 The heavier whole-tree measures are computed once on first access and
 cached on the node as plain tuples of ints: `bag` holds one count per
@@ -36,7 +36,6 @@ persisted.  Reproducible corpora rest on `generate.SplitMix64` instead.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -64,9 +63,6 @@ __all__ = [
 
 _PROB_TOL = 1e-9
 
-# a constructor name: one name token of the term grammar (see parse_tree)
-_NAME = r"[^\s(),]+"
-
 
 class Constructor(NamedTuple):
     name: str
@@ -85,9 +81,12 @@ class ParseError(ValueError):
 def _check_constructor(c: Constructor, seen: set[str]) -> None:
     """Raise ValueError if one constructor is invalid, given the names
     before it; adds its name to `seen`."""
-    # '#' starts a comment in signature files, and a lone surrogate cannot
-    # be written to a UTF-8 tree file
-    if not re.fullmatch(_NAME, c.name) or re.search(r"[#\ud800-\udfff]", c.name):
+    # a name is one name token of the term grammar (see _tokens); '#' starts
+    # a comment in signature files, and a lone surrogate cannot be written
+    # to a UTF-8 tree file
+    name = c.name
+    if (_tokens(name) != [name, ""] or name in ("(", ")", ",") or "#" in name
+            or any("\ud800" <= ch <= "\udfff" for ch in name)):
         raise ValueError(f"bad constructor name {c.name!r}")
     if c.name in seen:
         raise ValueError(f"duplicate constructor {c.name!r}")
@@ -166,12 +165,14 @@ class Signature:
     def parse(cls, text: str) -> "Signature":
         """Parse signature text: one "name arity [probability]" per line.
 
-        '#' starts a comment; blank lines are ignored.  Errors about one
-        constructor name its line; errors about the whole text do not.
+        '#' starts a comment; blank lines are ignored.  Lines end at "\n",
+        "\r\n" or "\r", as in text mode.  Errors about one constructor name
+        its line; errors about the whole text do not.
         """
         ctors = []
         seen: set[str] = set()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -219,18 +220,19 @@ def default_signature() -> Signature:
 class Tree:
     """An immutable term over a fixed signature.
 
-    `root` is the constructor index; `children` a tuple of Tree.  The
-    constructor validates the root index, the child count and the
-    children's signature, then computes size, constructor-set mask and
-    structural hash in O(arity) from the children's already-computed
-    measures (one bottom-up pass per tree overall).  Children may be
-    shared: a parsed tree holds one leaf object per nullary constructor.
+    `root` is the constructor index; `children` Trees, kept as a tuple.
+    The constructor validates the root index, the child count and the
+    children's type and signature, then computes size, constructor-set
+    mask and structural hash in O(arity) from the children's measures.
+    The parser, the generator and `monotone_stream` build unchecked, and
+    parsed and generated trees share one leaf per nullary constructor.
     """
 
     __slots__ = ("sig", "root", "children", "size", "mask", "struct_hash",
                  "_bag", "_pre", "_eul")
 
-    def __init__(self, sig: Signature, root: int, children: tuple["Tree", ...] = ()):
+    def __init__(self, sig: Signature, root: int, children: Iterable["Tree"] = ()):
+        children = tuple(children)
         if not 0 <= root < len(sig):
             raise ValueError(f"constructor index {root} not in 0..{len(sig) - 1}")
         arity = sig.arities[root]
@@ -239,6 +241,8 @@ class Tree:
                 f"constructor {sig.names[root]!r} takes {arity} children, got {len(children)}"
             )
         for ch in children:
+            if not isinstance(ch, Tree):
+                raise TypeError(f"child of type {type(ch).__name__!r} is not a Tree")
             if ch.sig is not sig and ch.sig != sig:
                 raise ValueError("child built over a different signature")
         _fill(self, sig, root, children)
@@ -316,7 +320,7 @@ def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tre
 
     The one definition of the eager measures: size, constructor-set mask
     and structural hash, each from the children's in O(arity).  `Tree()`
-    calls it after its checks; the parser and the generator call it on
+    calls it after its checks; `parse_tree` and `_build` call it on
     `_new_tree(Tree)`, having matched arity and signature themselves.
     """
     t.sig = sig
@@ -334,6 +338,26 @@ def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tre
     t.struct_hash = hash(tuple(hashes))
     t._bag = t._pre = t._eul = None
     return t
+
+
+def _build(sig: Signature, roots: list[int]) -> Tree:
+    """The tree with constructor indices `roots` in preorder, which must
+    match every arity (unchecked).  Filled bottom-up over the reversed
+    list, without recursion; one leaf per nullary constructor per call."""
+    arities = sig.arities
+    leaves: dict[int, Tree] = {}
+    stack: list[Tree] = []
+    for root in reversed(roots):
+        arity = arities[root]
+        if arity:
+            node = _fill(_new_tree(Tree), sig, root, tuple(stack[:-arity - 1:-1]))
+            del stack[-arity:]
+        else:
+            node = leaves.get(root)
+            if node is None:
+                node = leaves[root] = _fill(_new_tree(Tree), sig, root, ())
+        stack.append(node)
+    return stack[0]
 
 
 class ConstructorBag:
@@ -469,8 +493,8 @@ def tree_equal(t: Tree, u: Tree) -> bool:
 #
 # The tokens are "(", ")", "," and names; whitespace only separates them.
 # Padding every delimiter with spaces and splitting on whitespace yields the
-# tokens: `str.split()` splits on exactly the characters `\s` matches, the
-# ones a _NAME excludes.  A final "" token stands for end of input.
+# tokens: `str.split()` splits on exactly the characters `\s` matches, none
+# of which a constructor name holds.  A final "" token stands for end of input.
 
 def _tokens(text: str) -> list[str]:
     """The tokens of a term's text, then "" for end of input."""

@@ -1,12 +1,15 @@
 """Independent reference implementations used only to cross-check the
 package: a table-filling subsequence decision, a direct, memo-free
-recursive embedding check and a one-regex term tokenizer.  Kept
-deliberately naive."""
+recursive embedding check, a one-regex term tokenizer and a one-regex
+name check.  Kept deliberately naive."""
 
 import re
 
 # one term token per match; the empty match at the end stands for end of input
 _TERM_TOKEN = re.compile(r"[(),]|[^\s(),]+|\Z")
+
+# a name token of the term grammar
+_NAME = re.compile(r"[^\s(),]+")
 
 
 def dp_is_subsequence(v, w) -> bool:
@@ -38,3 +41,8 @@ def regex_tokens(text: str) -> list[tuple[str, int]]:
     """The tokens of a term's text with their character offsets, ending in
     ("", len(text)) for end of input."""
     return [(m.group(), m.start()) for m in _TERM_TOKEN.finditer(text)]
+
+
+def regex_is_name(text: str) -> bool:
+    """Whether text is exactly one name token."""
+    return _NAME.fullmatch(text) is not None

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from treewqo import (
@@ -7,6 +9,7 @@ from treewqo import (
     default_signature,
     monotone_stream,
     parse_wqo_name,
+    render_tree,
 )
 
 
@@ -38,6 +41,13 @@ class TestMonotoneStream:
         from treewqo import Signature
         with pytest.raises(ValueError, match="nullary"):
             monotone_stream(Signature([("a", 0)]), 10, 5)
+
+
+    def test_fixed_stream(self, sig):
+        # the benchmark's antichain input
+        text = "".join(render_tree(t) + "\n" for t in monotone_stream(sig, 240, 50))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "5c3b0393222af44656f9c3c80b5be651e9344bf53ec7c08b485636c95582cde7"
 
 
 class TestBenchReport:

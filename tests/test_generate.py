@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from treewqo import (
@@ -6,6 +8,7 @@ from treewqo import (
     SplitMix64,
     default_signature,
     generate_corpus,
+    default_config,
     random_tree,
     render_tree,
 )
@@ -90,3 +93,34 @@ class TestCorpus:
         corpus = generate_corpus(cfg)
         assert len(corpus) == 300
         assert len(set(corpus)) < 300  # leaves repeat with probability 1/2
+
+
+def _digest(trees) -> str:
+    return hashlib.sha256("".join(render_tree(t) + "\n" for t in trees).encode()).hexdigest()
+
+
+class TestFixedCorpora:
+    """Rendered corpora of fixed seeds: any change to the draw, the inverse
+    CDF or the oversize rule changes them."""
+
+    def test_census_config(self):
+        corpus = generate_corpus(default_config(1, 400, 200))
+        assert _digest(corpus) == \
+            "3707958a7d04fc38e155267889acc03635093e470faa6ac2da85377006aba5f8"
+
+    def test_online_config(self):
+        cfg = GeneratorConfig(default_signature(), 7919, 2000, size_cap=200, distinct=False)
+        assert _digest(generate_corpus(cfg)) == \
+            "7b625566c35d0a2a16c67fb8e270ece2bd4c4bfc7927627b78095257a78ef387"
+
+    def test_oversize_redraws_consume_the_same_randomness(self):
+        # mean size 20 against a cap of 5: most draws are abandoned
+        cfg = GeneratorConfig(default_signature(), 3, 300, size_cap=5, distinct=False)
+        rng = SplitMix64(cfg.seed)
+        trees = [random_tree(cfg, rng) for _ in range(cfg.corpus_size)]
+        assert trees == generate_corpus(cfg)
+        assert ",".join(render_tree(t) for t in trees[:12]) == \
+            "a,c(b(a),a),b(a),a,a,c(c(a,a),a),a,a,a,b(a),a,a"
+        assert _digest(trees) == \
+            "640c48b3f131314d2318e29849a61e8b9d4e2250ff2252420416f2b9d55976ec"
+        assert rng.next_u64() == 2263245051702344258

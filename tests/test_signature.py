@@ -26,9 +26,9 @@ from treewqo import (
     tree_hash,
 )
 
-from treewqo.signature import _offset, _tokens
+from treewqo.signature import _build, _check_constructor, _offset, _tokens
 
-from .oracles import regex_tokens
+from .oracles import regex_is_name, regex_tokens
 from .strategies import trees, trees_over
 
 
@@ -40,6 +40,8 @@ TOKENIZER_PIECES = (
     + [chr(c) for c in range(0x2000, 0x200B)]
     + ["\u200b", "\ufeff", "\u180e"]
 )
+
+TERM_TEXTS = st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=24).map("".join)
 
 # multi-character names, two of them nullary
 MULTI_SIG = Signature([("nil", 0), ("x1", 0), ("wrap", 1), ("cons", 2), ("t3", 3)])
@@ -137,7 +139,7 @@ class TestParsing:
         assert str(exc.value) == f"{message} at position {position}"
         assert exc.value.position == position
 
-    @given(text=st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=24).map("".join))
+    @given(text=TERM_TEXTS)
     @settings(max_examples=500)
     def test_tokens_match_regex_oracle(self, text):
         tokens = _tokens(text)
@@ -194,6 +196,50 @@ def test_tree_constructor_checks(sig, root, children, message):
     assert str(exc.value) == message
 
 
+def test_tree_keeps_its_own_children(sig):
+    a = Tree(sig, 0)
+    kids = [a]
+    t = Tree(sig, 1, kids)
+    kids.append(a)
+    assert t.children == (a,) and t.size == 2
+    assert parse_tree(render_tree(t), sig) == t
+
+
+def test_tree_refuses_a_child_that_is_no_tree(sig):
+    with pytest.raises(TypeError, match="child of type 'str' is not a Tree"):
+        Tree(sig, 1, ["a"])
+
+
+class TestBuild:
+    @given(t=st.one_of(trees(), trees_over(MULTI_SIG)))
+    @settings(max_examples=200)
+    def test_preorder_indices_rebuild_the_tree(self, t):
+        sig = t.sig
+        built = _build(sig, [c // sig.sym_stride for c in t.pre])
+        assert built == t
+        for a, b in zip(t.nodes(), built.nodes()):
+            assert (b.sig, b.root, b.size, b.mask, b.struct_hash) == (
+                a.sig, a.root, a.size, a.mask, a.struct_hash)
+
+    @given(t=trees_over(MULTI_SIG))
+    @settings(max_examples=100)
+    def test_one_leaf_per_nullary_constructor(self, t):
+        roots = [c // MULTI_SIG.sym_stride for c in t.pre]
+        built = _build(MULTI_SIG, roots)
+        leaves = {}
+        for node in built.nodes():
+            if not node.children:
+                assert leaves.setdefault(node.root, node) is node
+        again = _build(MULTI_SIG, roots)
+        assert not {id(n) for n in built.nodes()} & {id(n) for n in again.nodes()}
+
+    def test_deep_chain_without_recursion(self, sig):
+        n = 200_000
+        t = _build(sig, [1] * (n - 1) + [0])
+        assert t.size == n and t.bag == (1, n - 1, 0, 0)
+        assert t == parse_tree("b(" * (n - 1) + "a" + ")" * (n - 1), sig)
+
+
 class TestSignature:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -206,6 +252,19 @@ class TestSignature:
     def test_partial_probabilities_rejected(self):
         with pytest.raises(ValueError):
             Signature([("a", 0, 0.5), ("b", 1, None)])
+
+    @given(name=st.lists(st.sampled_from(TOKENIZER_PIECES + ["#", "\ud800"]),
+                         max_size=24).map("".join))
+    @settings(max_examples=500)
+    def test_names_match_regex_oracle(self, name):
+        # a name is one name token of the term grammar, free of '#' and
+        # lone surrogates
+        try:
+            _check_constructor(Constructor(name, 0), set())
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (regex_is_name(name) and "#" not in name and "\ud800" not in name)
 
     @pytest.mark.parametrize("name", ["x\r", "x\x0c", "x\xa0", "x\u2003", "x y", "x(", "x,", "x#", "",
                                       "x\ud800"])
@@ -263,6 +322,11 @@ class TestSignature:
         ("a 0 0.5\nb 1", "either all or no constructors take a probability"),
         ("a 0 0.5\nb 1 0.25", "probabilities sum to 0.75, expected 1"),
         ("# nothing\n", "signature needs at least one constructor"),
+        # lines end only at "\n", "\r\n" and "\r"; other breaks are whitespace
+        ("a 0\x0cb x", "line 1: expected 'name arity [probability]'"),
+        ("a 0\n\x85b x", "line 2: bad arity 'x'"),
+        ("a 0\u2028\r\nc x", "line 2: bad arity 'x'"),
+        ("a 0\rb 1\r\n\rc x", "line 4: bad arity 'x'"),
     ])
     def test_parse_error_lines(self, text, message):
         with pytest.raises(ParseError) as exc:
