@@ -104,14 +104,18 @@ def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarra
     if letter in KEY_LETTERS:
         # related iff equal keys: number the distinct keys, compare the numbers
         key = partition_key(letter, y_threshold)
-        ids = np.unique([key(t) for t in corpus], return_inverse=True)[1]
+        number: dict[int, int] = {}
+        ids = np.array([number.setdefault(key(t), len(number)) for t in corpus], dtype=np.intp)
         return ids[:, None] == ids[None, :]
     if letter == "H":
         return _embedding_matrix(corpus)
     n = len(corpus)
     if letter == "B":
-        # a sub-multiset: no constructor count above the other's
-        bags = np.array([t.bag for t in corpus], dtype=np.intp).reshape(n, -1 if n else 0)
+        # a sub-multiset: no constructor count above the other's; each packed
+        # bag is its 32-bit fields, little-endian (see signature)
+        width = len(corpus[0].sig) if n else 0
+        bags = np.frombuffer(b"".join(t.packed_bag.to_bytes(4 * width, "little") for t in corpus),
+                             dtype="<u4").reshape(n, width)
         return (bags[:, None] <= bags[None]).all(-1)
     check = base_relation(letter, y_threshold)
     return np.array([[check(s, t) for t in corpus] for s in corpus], dtype=bool).reshape(n, n)

@@ -32,7 +32,7 @@ from functools import lru_cache
 from operator import le
 from typing import Callable
 
-from .signature import ConstructorBag, Tree, repeated_mask, tree_equal
+from .signature import ConstructorBag, Tree, bag_at_least, repeated_mask, tree_equal
 
 __all__ = [
     "LETTERS",
@@ -227,7 +227,7 @@ def rel_size(s: Tree, t: Tree) -> bool:
 
 def rel_set(s: Tree, t: Tree) -> bool:
     """Z: s and t use the same set of constructors."""
-    return s.mask == t.mask
+    return bag_at_least(s, 1) == bag_at_least(t, 1)
 
 
 def rel_repeated(s: Tree, t: Tree, k: int = 2) -> bool:
@@ -236,8 +236,14 @@ def rel_repeated(s: Tree, t: Tree, k: int = 2) -> bool:
 
 
 def rel_bag(s: Tree, t: Tree) -> bool:
-    """B: the constructor bag of s is a sub-multiset of t's."""
-    return all(map(le, s.bag, t.bag))
+    """B: the constructor bag of s is a sub-multiset of t's.
+
+    One borrow test on the packed bags: with every guard bit of t's set,
+    subtracting s's bag clears a guard bit exactly where s counts more,
+    and no field borrows from the next (see `signature.bag_at_least`).
+    """
+    guards = t.sig.bag_guards
+    return ((t.packed_bag | guards) - s.packed_bag) & guards == guards
 
 
 def rel_sized_set(s: Tree, t: Tree) -> bool:
@@ -246,7 +252,9 @@ def rel_sized_set(s: Tree, t: Tree) -> bool:
     This is exactly the intersection of Z and S, i.e. size comparison
     restricted to trees with one underlying constructor set.
     """
-    return s.mask == t.mask and (s.size < t.size or tree_equal(s, t))
+    if s.size < t.size:
+        return bag_at_least(s, 1) == bag_at_least(t, 1)
+    return tree_equal(s, t)  # equal trees use one constructor set
 
 
 def rel_preorder(s: Tree, t: Tree) -> bool:
@@ -265,11 +273,13 @@ def rel_embed(s: Tree, t: Tree) -> bool:
     s embeds into t iff the roots are equal and the children embed
     pairwise (coupling), or s embeds into some child of t (diving).
     Decided iteratively with memoization over subtree pairs, keyed by
-    object identity, with a fresh memo for every call.  H implies S, so a
-    subproblem whose left subtree is not smaller holds only when the two
-    are equal, and one whose left subtree uses constructors the right one
-    lacks fails; both are decided without recursion.
+    object identity, with a fresh memo for every call.  H implies S and B,
+    so a subproblem whose left subtree is not smaller holds only when the
+    two are equal, and one whose left bag is not a sub-multiset of the
+    right one fails; both are decided without recursion, the bag by
+    `rel_bag`'s borrow test.
     """
+    guards = t.sig.bag_guards
     memo: dict[tuple[int, int], bool] = {}
     stack = [(s, t)]
     while stack:
@@ -278,7 +288,7 @@ def rel_embed(s: Tree, t: Tree) -> bool:
         if key in memo:
             stack.pop()
             continue
-        if a.size >= b.size or a.mask & ~b.mask:
+        if a.size >= b.size or ((b.packed_bag | guards) - a.packed_bag) & guards != guards:
             memo[key] = a.size == b.size and tree_equal(a, b)
             stack.pop()
             continue
@@ -322,8 +332,10 @@ KEY_LETTERS = frozenset("ZY")
 
 def partition_key(letter: str, y_threshold: int) -> Callable[[Tree], int]:
     """The key of a key order (Z or Y): two trees are related iff their keys
-    are equal.  `t.mask` for Z, `repeated_mask(t, k)` for Y."""
-    return {"Z": lambda t: t.mask, "Y": lambda t: repeated_mask(t, y_threshold)}[letter]
+    are equal: the fields of t's packed bag that count at least 1 for Z,
+    at least the threshold for Y (see `signature.bag_at_least`)."""
+    return {"Z": lambda t: bag_at_least(t, 1),
+            "Y": lambda t: repeated_mask(t, y_threshold)}[letter]
 
 
 _BASE_RELS: dict[str, Callable[[Tree, Tree], bool]] = {

@@ -6,21 +6,34 @@ generator).  A Tree is a finite term over one signature; the number of
 children of every node must equal its constructor's declared arity.
 
 Every tree node eagerly carries the cheap bottom-up measures (size,
-constructor-set bitmask, structural hash) so that sequence checkers never
+packed constructor bag, structural hash) so that sequence checkers never
 recompute them; `_fill` is their one definition.  `Tree()` checks arity
 and signature before it.  The parser, the generator and `monotone_stream`
 match every arity themselves and build unchecked, the last two through
 `_build`.  Parsed and generated trees share one leaf per nullary
 constructor within one call, and no node outlives the call in any cache.
 
-The heavier whole-tree measures are computed once on first access and
-cached on the node as plain tuples of ints: `bag` holds one count per
-constructor, `pre` and `eul` the preorder and Euler traversal codes.  The
-order kernels read these tuples directly; the measure functions decode
-them into names and symbols: `constructor_set` and `repeated_set` return
-a frozenset of names, `constructor_bag` a `ConstructorBag`, and the two
-traversals a tuple of `TraversalSymbol`.  All traversals are iterative,
-so deep chain-shaped trees do not hit the interpreter recursion limit.
+The packed bag is one int holding a 32-bit field per constructor: the
+count of constructor i sits in bits 32*i .. 32*i + 30, and bit 32*i + 31,
+its guard bit, is always clear.  A node's packed bag is its root's unit
+`1 << 32*i` plus its children's packed bags.  `Tree()` refuses a tree of
+2**31 nodes or more, so no count reaches its guard bit; only trees that
+share children can come near that size.  Whole-field tests are then a few
+int operations (SWAR, after Lamport, "Multiple byte processing with
+full-word instructions", CACM 1975): `bag_at_least(t, k)` is the guard
+bits of the fields that count k or more, so the constructor set is the
+bag's support, `bag_at_least(t, 1)`, and the repeated set is
+`bag_at_least(t, k)`.
+
+The traversals are computed once on first access and cached on the node
+as plain tuples of ints: `pre` and `eul` hold the preorder and Euler
+traversal codes; `bag` decodes the packed bag into one count per
+constructor on every access.  The order kernels read these fields
+directly; the measure functions decode them into names and symbols:
+`constructor_set` and `repeated_set` return a frozenset of names,
+`constructor_bag` a `ConstructorBag`, and the two traversals a tuple of
+`TraversalSymbol`.  All traversals are iterative, so deep chain-shaped
+trees do not hit the interpreter recursion limit.
 
 Traversal strings use one alphabet for both traversals: the symbol "c
 visited i times" is encoded as ``index(c) * (max_arity + 1) + i``.  A
@@ -36,6 +49,7 @@ persisted.  Reproducible corpora rest on `generate.SplitMix64` instead.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -62,6 +76,9 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
+
+# every count of a packed bag is below this, as is every tree's size
+_FIELD_LIMIT = 1 << 31
 
 
 class Constructor(NamedTuple):
@@ -91,6 +108,8 @@ def _check_constructor(c: Constructor, seen: set[str]) -> None:
     if c.name in seen:
         raise ValueError(f"duplicate constructor {c.name!r}")
     seen.add(c.name)
+    if not isinstance(c.arity, int) or isinstance(c.arity, bool):
+        raise ValueError(f"arity of {c.name!r} is not an int: {c.arity!r}")
     if c.arity < 0:
         raise ValueError(f"negative arity for {c.name!r}")
     if c.probability is not None and not 0.0 <= c.probability <= 1.0:
@@ -127,6 +146,12 @@ class Signature:
         self.max_arity = max(self.arities)
         # symbol stride for traversal-string codes; see module docstring
         self.sym_stride = self.max_arity + 1
+        # packed bags: one unit per constructor, a 1 in every field, and
+        # every field's guard bit; see module docstring
+        self.bag_units = tuple(1 << 32 * i for i in range(len(ctors)))
+        self.bag_ones = sum(self.bag_units)
+        self.bag_guards = self.bag_ones << 31
+        self._bag_struct = struct.Struct(f"<{len(ctors)}I")
 
     def __len__(self) -> int:
         return len(self.constructors)
@@ -222,14 +247,16 @@ class Tree:
 
     `root` is the constructor index; `children` Trees, kept as a tuple.
     The constructor validates the root index, the child count and the
-    children's type and signature, then computes size, constructor-set
-    mask and structural hash in O(arity) from the children's measures.
-    The parser, the generator and `monotone_stream` build unchecked, and
-    parsed and generated trees share one leaf per nullary constructor.
+    children's type and signature, then computes size, packed bag and
+    structural hash in O(arity) from the children's measures; it refuses
+    a tree of 2**31 nodes or more, whose counts would not fit their
+    fields.  The parser, the generator and `monotone_stream` build
+    unchecked, and parsed and generated trees share one leaf per nullary
+    constructor.
     """
 
-    __slots__ = ("sig", "root", "children", "size", "mask", "struct_hash",
-                 "_bag", "_pre", "_eul")
+    __slots__ = ("sig", "root", "children", "size", "packed_bag", "struct_hash",
+                 "_pre", "_eul")
 
     def __init__(self, sig: Signature, root: int, children: Iterable["Tree"] = ()):
         children = tuple(children)
@@ -246,6 +273,9 @@ class Tree:
             if ch.sig is not sig and ch.sig != sig:
                 raise ValueError("child built over a different signature")
         _fill(self, sig, root, children)
+        if self.size >= _FIELD_LIMIT:
+            raise ValueError(f"tree of {self.size} nodes exceeds the limit of "
+                             f"{_FIELD_LIMIT - 1}")
 
     @property
     def name(self) -> str:
@@ -272,15 +302,9 @@ class Tree:
 
     @property
     def bag(self) -> tuple[int, ...]:
-        if self._bag is None:
-            counts = [0] * len(self.sig)
-            stack = [self]
-            while stack:
-                node = stack.pop()
-                counts[node.root] += 1
-                stack.extend(node.children)
-            self._bag = tuple(counts)
-        return self._bag
+        """One count per constructor, decoded from the packed bag."""
+        fields = self.sig._bag_struct
+        return fields.unpack(self.packed_bag.to_bytes(fields.size, "little"))
 
     @property
     def pre(self) -> tuple[int, ...]:
@@ -318,25 +342,25 @@ _new_tree = Tree.__new__
 def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tree:
     """Set every field of the node `t` and return it, checking nothing.
 
-    The one definition of the eager measures: size, constructor-set mask
-    and structural hash, each from the children's in O(arity).  `Tree()`
-    calls it after its checks; `parse_tree` and `_build` call it on
+    The one definition of the eager measures: size, packed bag and
+    structural hash, each from the children's in O(arity).  `Tree()`
+    calls it before its size check; `parse_tree` and `_build` call it on
     `_new_tree(Tree)`, having matched arity and signature themselves.
     """
     t.sig = sig
     t.root = root
     t.children = children
     n = 1
-    mask = 1 << root
+    bag = sig.bag_units[root]
     hashes = [root]
     for ch in children:
         n += ch.size
-        mask |= ch.mask
+        bag += ch.packed_bag
         hashes.append(ch.struct_hash)
     t.size = n
-    t.mask = mask
+    t.packed_bag = bag
     t.struct_hash = hash(tuple(hashes))
-    t._bag = t._pre = t._eul = None
+    t._pre = t._eul = None
     return t
 
 
@@ -411,9 +435,9 @@ class TraversalSymbol(NamedTuple):
 # ---------------------------------------------------------------------------
 # measures: the plain cached Tree fields decoded into names and symbols
 
-def _names(sig: Signature, mask: int) -> frozenset[str]:
-    """The names of the constructors whose bits are set in mask."""
-    return frozenset(n for i, n in enumerate(sig.names) if mask >> i & 1)
+def _names(sig: Signature, guards: int) -> frozenset[str]:
+    """The names of the constructors whose guard bits are set in guards."""
+    return frozenset(n for i, n in enumerate(sig.names) if guards >> 32 * i + 31 & 1)
 
 
 def _symbols(sig: Signature, codes: tuple[int, ...]) -> tuple[TraversalSymbol, ...]:
@@ -427,9 +451,25 @@ def size(t: Tree) -> int:
     return t.size
 
 
+def bag_at_least(t: Tree, k: int) -> int:
+    """The guard bits of the fields of t's packed bag that count k or more
+    (k >= 1): the key of Z at k = 1, of Y at its threshold.
+
+    Setting every guard bit and subtracting k from every field leaves a
+    guard bit set iff its count is at least k.  No count exceeds the size,
+    so a k above it selects no field; otherwise k < 2**31 and no field
+    borrows from the next.
+    """
+    if k > t.size:
+        return 0
+    sig = t.sig
+    guards = sig.bag_guards
+    return ((t.packed_bag | guards) - k * sig.bag_ones) & guards
+
+
 def constructor_set(t: Tree) -> frozenset[str]:
     """The names of the constructors occurring in t."""
-    return _names(t.sig, t.mask)
+    return _names(t.sig, bag_at_least(t, 1))
 
 
 def repeated_set(t: Tree, k: int = 2) -> frozenset[str]:
@@ -438,13 +478,10 @@ def repeated_set(t: Tree, k: int = 2) -> frozenset[str]:
 
 
 def repeated_mask(t: Tree, k: int = 2) -> int:
+    """The Y key of t: `bag_at_least(t, k)`, refusing k < 2."""
     if k < 2:
         raise ValueError(f"repetition threshold must be >= 2, got {k}")
-    mask = 0
-    for i, c in enumerate(t.bag):
-        if c >= k:
-            mask |= 1 << i
-    return mask
+    return bag_at_least(t, k)
 
 
 def constructor_bag(t: Tree) -> ConstructorBag:

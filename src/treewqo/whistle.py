@@ -120,7 +120,7 @@ class SequenceChecker(_CheckerBase):
         if implies(spec, WqoSpec(frozenset("S"))):
             self._shared = lambda t, key: t
         elif implies(spec, WqoSpec(frozenset("B"))):
-            self._shared = lambda t, key: t.bag
+            self._shared = lambda t, key: t.packed_bag
         else:
             self._shared = lambda t, key: key
         (letter,) = expanded - KEY_LETTERS - {"S"} or {None}

@@ -1,9 +1,10 @@
 """Independent reference implementations used only to cross-check the
 package: a table-filling subsequence decision, a direct, memo-free
-recursive embedding check, a one-regex term tokenizer and a one-regex
-name check.  Kept deliberately naive."""
+recursive embedding check, a node-counting constructor bag, a one-regex
+term tokenizer and a one-regex name check.  Kept deliberately naive."""
 
 import re
+from collections import Counter
 
 # one term token per match; the empty match at the end stands for end of input
 _TERM_TOKEN = re.compile(r"[(),]|[^\s(),]+|\Z")
@@ -35,6 +36,18 @@ def naive_embeds(s, t) -> bool:
     ):
         return True
     return any(naive_embeds(s, ct) for ct in t.children)
+
+
+def naive_bag(t) -> tuple[int, ...]:
+    """One count per constructor of t's signature, by visiting every node
+    (shared children once per occurrence).  Use on small trees only."""
+    counts = Counter()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        counts[node.root] += 1
+        stack.extend(node.children)
+    return tuple(counts[i] for i in range(len(t.sig)))
 
 
 def regex_tokens(text: str) -> list[tuple[str, int]]:

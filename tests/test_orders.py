@@ -138,7 +138,7 @@ class TestBaseRelations:
     def test_embed_equal_size_pairs(self, sig):
         # H implies S: trees of one size are related only when equal
         s, t = parse_tree("c(b(a),a)", sig), parse_tree("c(a,b(a))", sig)
-        assert s.size == t.size and s.mask == t.mask
+        assert s.size == t.size and s.bag == t.bag
         assert not rel_embed(s, t) and not rel_embed(t, s)
         assert not rel_embed(parse_tree("b(b(a))", sig), parse_tree("c(a,a)", sig))
         twin = parse_tree("c(b(a),a)", sig)

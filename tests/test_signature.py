@@ -163,8 +163,9 @@ class TestParsing:
         built, got = list(t.nodes()), list(parsed.nodes())
         assert len(got) == len(built)
         for a, b in zip(built, got):
-            assert (b.sig, b.root, b.size, b.mask, b.struct_hash, b.bag, b.pre, b.eul) == (
-                a.sig, a.root, a.size, a.mask, a.struct_hash, a.bag, a.pre, a.eul)
+            assert (b.sig, b.root, b.size, constructor_set(b), b.struct_hash, b.bag, b.pre,
+                    b.eul) == (a.sig, a.root, a.size, constructor_set(a), a.struct_hash, a.bag,
+                               a.pre, a.eul)
         leaves = {}
         for node in got:
             if not node.children:
@@ -218,8 +219,8 @@ class TestBuild:
         built = _build(sig, [c // sig.sym_stride for c in t.pre])
         assert built == t
         for a, b in zip(t.nodes(), built.nodes()):
-            assert (b.sig, b.root, b.size, b.mask, b.struct_hash) == (
-                a.sig, a.root, a.size, a.mask, a.struct_hash)
+            assert (b.sig, b.root, b.size, b.bag, b.struct_hash) == (
+                a.sig, a.root, a.size, a.bag, a.struct_hash)
 
     @given(t=trees_over(MULTI_SIG))
     @settings(max_examples=100)
@@ -252,6 +253,12 @@ class TestSignature:
     def test_partial_probabilities_rejected(self):
         with pytest.raises(ValueError):
             Signature([("a", 0, 0.5), ("b", 1, None)])
+
+    @pytest.mark.parametrize("arity", [2.0, "2", True, None])
+    def test_arity_that_is_no_int_rejected(self, arity):
+        with pytest.raises(ValueError) as exc:
+            Signature([("a", 0), ("b", arity)])
+        assert str(exc.value) == f"arity of 'b' is not an int: {arity!r}"
 
     @given(name=st.lists(st.sampled_from(TOKENIZER_PIECES + ["#", "\ud800"]),
                          max_size=24).map("".join))
