@@ -15,14 +15,18 @@ implies either admit the whole stream.  Each tree is the canonical chain
 realization of one bag: a nullary leaf wrapped by the bag's non-nullary
 constructors, extra child slots filled with leaves.
 
-Timings cover the push loop only; tree construction and measure
-precomputation happen beforehand so both checkers see identical inputs.
+Timings cover the push loop only, with the cyclic garbage collector off,
+so that no collection over the stream's nodes lands in one run; tree
+construction and measure precomputation happen beforehand so both
+checkers see identical inputs.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
+from itertools import product
 
 from .orders import WqoSpec, conjunction
 from .signature import Signature, Tree, _build, default_signature
@@ -38,21 +42,14 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
     constructors (slots force the leaf count), and a tree of size n uses
     wrapper multiplicities m_i with sum(m_i * arity_i) = n - 1.
     """
-    arities = sig.arities
-
-    def walk(budget: int, idx: int, counts: list[int]):
-        if idx == len(wrappers):
-            if budget == 0:
-                yield tuple(counts)
-            return
-        w = wrappers[idx]
-        step = arities[w]
-        for m in range(budget // step + 1):
-            counts.append(m)
-            yield from walk(budget - m * step, idx + 1, counts)
-            counts.pop()
-
-    for counts in walk(size - 1, 0, []):
+    *steps, last = [sig.arities[w] for w in wrappers]
+    budget = size - 1
+    # every count but the last in lexicographic order; the last is what the others leave
+    for head in product(*(range(budget // step + 1) for step in steps)):
+        rest = budget - sum(m * step for m, step in zip(head, steps))
+        if rest < 0 or rest % last:
+            continue
+        counts = head + (rest // last,)
         # innermost first; in preorder come the wrappers outermost first, then leaves
         chain = [w for w, m in zip(wrappers, counts) for _ in range(m)]
         yield _build(sig, chain[::-1] + [leaf] * (size - len(chain)))
@@ -118,12 +115,18 @@ def _warm(trees: list[Tree], spec: WqoSpec) -> None:
 
 def _timed_run(checker, stream: list[Tree]) -> tuple[float, int]:
     push = checker.push
-    start = time.perf_counter()
-    whistles = 0
-    for t in stream:
-        if push(t).whistled:
-            whistles += 1
-    return time.perf_counter() - start, whistles
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        whistles = 0
+        for t in stream:
+            if push(t).whistled:
+                whistles += 1
+        return time.perf_counter() - start, whistles
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def bench_whistle(spec: WqoSpec, n: int, tree_size: int = 50,

@@ -111,11 +111,8 @@ def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarra
         return _embedding_matrix(corpus)
     n = len(corpus)
     if letter == "B":
-        # a sub-multiset: no constructor count above the other's; each packed
-        # bag is its 32-bit fields, little-endian (see signature)
-        width = len(corpus[0].sig) if n else 0
-        bags = np.frombuffer(b"".join(t.packed_bag.to_bytes(4 * width, "little") for t in corpus),
-                             dtype="<u4").reshape(n, width)
+        # a sub-multiset: no constructor count above the other's
+        bags = np.array([t.bag for t in corpus], dtype=np.int64).reshape(n, -1 if n else 0)
         return (bags[:, None] <= bags[None]).all(-1)
     check = base_relation(letter, y_threshold)
     return np.array([[check(s, t) for t in corpus] for s in corpus], dtype=bool).reshape(n, n)

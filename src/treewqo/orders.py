@@ -32,7 +32,8 @@ from functools import lru_cache
 from operator import le
 from typing import Callable
 
-from .signature import ConstructorBag, Tree, bag_at_least, repeated_mask, tree_equal
+from .signature import (ConstructorBag, Tree, _check_threshold, bag_at_least, repeated_mask,
+                        tree_equal)
 
 __all__ = [
     "LETTERS",
@@ -95,8 +96,8 @@ def _canonicalize(components: frozenset[str]) -> frozenset[str]:
 class WqoSpec:
     """A canonical intersection of base orders.
 
-    `y_threshold` is the repetition count used by the Y component
-    (ignored when Y is absent).
+    `y_threshold` is the repetition count used by the Y component, an
+    int of at least 2 (ignored when Y is absent).
     """
 
     components: frozenset[str]
@@ -108,8 +109,7 @@ class WqoSpec:
         bad = set(self.components) - set(LETTERS)
         if bad:
             raise ValueError(f"unknown order letter(s): {', '.join(map(repr, sorted(bad)))}")
-        if self.y_threshold < 2:
-            raise ValueError(f"y_threshold must be >= 2, got {self.y_threshold}")
+        _check_threshold(self.y_threshold)
         object.__setattr__(self, "components", _canonicalize(frozenset(self.components)))
 
     @property
@@ -232,7 +232,8 @@ def rel_set(s: Tree, t: Tree) -> bool:
 
 def rel_repeated(s: Tree, t: Tree, k: int = 2) -> bool:
     """Y: s and t use the same set of at-least-k-times-used constructors."""
-    return repeated_mask(s, k) == repeated_mask(t, k)
+    _check_threshold(k)
+    return bag_at_least(s, k) == bag_at_least(t, k)
 
 
 def rel_bag(s: Tree, t: Tree) -> bool:

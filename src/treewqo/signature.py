@@ -112,8 +112,12 @@ def _check_constructor(c: Constructor, seen: set[str]) -> None:
         raise ValueError(f"arity of {c.name!r} is not an int: {c.arity!r}")
     if c.arity < 0:
         raise ValueError(f"negative arity for {c.name!r}")
-    if c.probability is not None and not 0.0 <= c.probability <= 1.0:
-        raise ValueError(f"probability of {c.name!r} outside [0, 1]")
+    p = c.probability
+    if p is not None:
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise ValueError(f"probability of {c.name!r} is not a real number: {p!r}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability of {c.name!r} outside [0, 1]")
 
 
 class Signature:
@@ -260,6 +264,8 @@ class Tree:
 
     def __init__(self, sig: Signature, root: int, children: Iterable["Tree"] = ()):
         children = tuple(children)
+        if not isinstance(root, int) or isinstance(root, bool):
+            raise ValueError(f"constructor index is not an int: {root!r}")
         if not 0 <= root < len(sig):
             raise ValueError(f"constructor index {root} not in 0..{len(sig) - 1}")
         arity = sig.arities[root]
@@ -477,10 +483,16 @@ def repeated_set(t: Tree, k: int = 2) -> frozenset[str]:
     return _names(t.sig, repeated_mask(t, k))
 
 
+def _check_threshold(k: int) -> None:
+    """Refuse a repetition threshold that is not an int of at least 2."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise ValueError(f"repetition threshold must be an int >= 2, got {k!r}")
+
+
 def repeated_mask(t: Tree, k: int = 2) -> int:
-    """The Y key of t: `bag_at_least(t, k)`, refusing k < 2."""
-    if k < 2:
-        raise ValueError(f"repetition threshold must be >= 2, got {k}")
+    """The Y key of t: `bag_at_least(t, k)`, refusing a threshold that is
+    not an int of at least 2."""
+    _check_threshold(k)
     return bag_at_least(t, k)
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -11,6 +12,7 @@ from treewqo import (
     parse_wqo_name,
     render_tree,
 )
+from treewqo.bench import _timed_run
 
 
 class TestMonotoneStream:
@@ -84,3 +86,27 @@ class TestBenchReport:
         n = len(stream)
         assert fast.comparisons == 0
         assert slow.comparisons == n * (n - 1) // 2
+
+
+class TestGarbageCollector:
+    def test_pushes_are_timed_with_the_collector_off(self, sig):
+        seen, checker = [], NaiveChecker(parse_wqo_name("S"))
+
+        class Stub:
+            def push(self, t):
+                seen.append(gc.isenabled())
+                return checker.push(t)
+
+        assert gc.isenabled()
+        _, whistles = _timed_run(Stub(), monotone_stream(sig, 3, 5))
+        assert seen == [False] * 3 and whistles == 0
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        gc.enable() if enabled else gc.disable()
+        try:
+            bench_whistle(parse_wqo_name("S"), 10, 10)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()

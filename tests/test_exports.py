@@ -16,6 +16,16 @@ def test_star_import_resolves(module):
     exec(f"from {module} import *", {})
 
 
+@pytest.mark.parametrize("module", [m for m in MODULES[1:]
+                                    if hasattr(importlib.import_module(m), "__all__")])
+def test_package_exports_each_module_api(module):
+    # the package star-imports every module that declares its API; dropping
+    # one star import, or shadowing a name, fails here
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        assert getattr(treewqo, name, None) is getattr(mod, name), name
+
+
 def test_benchmark_imports_resolve():
     # the benchmark under wqobench/ imports these names and reads these
     # Tree attributes; dropping one must fail here, not only in a benchmark run

@@ -24,6 +24,7 @@ from treewqo import (
     rel_sized_set,
 )
 from treewqo import orders
+from treewqo.signature import repeated_mask
 
 from .oracles import dp_is_subsequence, naive_embeds
 from .strategies import symbol_strings, trees
@@ -298,6 +299,26 @@ class TestSpecs:
         assert spec.y_threshold == 3
         with pytest.raises(ValueError):
             parse_wqo_name("Y", y_threshold=1)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2", None, True, 1])
+    def test_y_threshold_that_is_no_int_of_at_least_2_refused(self, sig, k):
+        message = f"repetition threshold must be an int >= 2, got {k!r}"
+        with pytest.raises(ValueError) as exc:
+            parse_wqo_name("Y", k)
+        assert str(exc.value) == message
+        t = parse_tree("c(a,a)", sig)
+        for refuse in (lambda: repeated_mask(t, k), lambda: rel_repeated(t, t, k)):
+            with pytest.raises(ValueError) as exc:
+                refuse()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("k", [2, 3, 2 ** 40])
+    def test_int_y_thresholds_accepted(self, sig, k):
+        spec = parse_wqo_name("Y", k)
+        s, t = parse_tree("c(a,a)", sig), parse_tree("b(a)", sig)
+        assert spec.y_threshold == k
+        assert repeated_mask(s, k) == (1 << 31 if k == 2 else 0)
+        assert rel(spec, s, t) == (k > 2)
 
     def test_implies(self):
         mk = parse_wqo_name

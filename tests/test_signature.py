@@ -190,6 +190,9 @@ OTHER_SIG = Signature([("x", 0), ("y", 1)])
     pytest.param(4, lambda sig: (), "constructor index 4 not in 0..3", id="root-4"),
     pytest.param(-1, lambda sig: (Tree(sig, 0),) * 3, "constructor index -1 not in 0..3",
                  id="root-minus-1"),
+    *(pytest.param(root, lambda sig: (Tree(sig, 0),),
+                   f"constructor index is not an int: {root!r}", id=f"root-{root!r}")
+      for root in (True, False, 1.0, "1", None)),
 ])
 def test_tree_constructor_checks(sig, root, children, message):
     with pytest.raises(ValueError) as exc:
@@ -259,6 +262,17 @@ class TestSignature:
         with pytest.raises(ValueError) as exc:
             Signature([("a", 0), ("b", arity)])
         assert str(exc.value) == f"arity of 'b' is not an int: {arity!r}"
+
+    @pytest.mark.parametrize("prob", ["0.5", True, False, 0.5 + 0j])
+    def test_probability_that_is_no_real_number_rejected(self, prob):
+        with pytest.raises(ValueError) as exc:
+            Signature([("a", 0, 0.5), ("b", 1, prob)])
+        assert str(exc.value) == f"probability of 'b' is not a real number: {prob!r}"
+
+    @pytest.mark.parametrize("prob", [0, 1, 0.5])
+    def test_int_and_float_probabilities_accepted(self, prob):
+        sig = Signature([("a", 0, 1 - prob), ("b", 1, prob)])
+        assert sig.probabilities == (1 - prob, prob)
 
     @given(name=st.lists(st.sampled_from(TOKENIZER_PIECES + ["#", "\ud800"]),
                          max_size=24).map("".join))
