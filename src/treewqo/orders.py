@@ -32,8 +32,7 @@ from functools import lru_cache
 from operator import le
 from typing import Callable
 
-from .signature import (ConstructorBag, Tree, _check_threshold, bag_at_least, repeated_mask,
-                        tree_equal)
+from .signature import ConstructorBag, Tree, _check_threshold, bag_at_least, tree_equal
 
 __all__ = [
     "LETTERS",
@@ -334,9 +333,12 @@ KEY_LETTERS = frozenset("ZY")
 def partition_key(letter: str, y_threshold: int) -> Callable[[Tree], int]:
     """The key of a key order (Z or Y): two trees are related iff their keys
     are equal: the fields of t's packed bag that count at least 1 for Z,
-    at least the threshold for Y (see `signature.bag_at_least`)."""
+    at least the threshold for Y (see `signature.bag_at_least`).  A Y
+    threshold that is not an int of at least 2 is refused here, once."""
+    if letter == "Y":
+        _check_threshold(y_threshold)
     return {"Z": lambda t: bag_at_least(t, 1),
-            "Y": lambda t: repeated_mask(t, y_threshold)}[letter]
+            "Y": lambda t: bag_at_least(t, y_threshold)}[letter]
 
 
 _BASE_RELS: dict[str, Callable[[Tree, Tree], bool]] = {

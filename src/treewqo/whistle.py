@@ -13,11 +13,14 @@ alone implies `S` or `B`, and both bound size (a bag's total is the
 size), so s sits below t only if s is strictly smaller or shares what
 equal-size related trees share: the tree under `S`, else the bag under
 `B` (equal bags give equal keys), else the keys.  One table keyed by that
-value decides the equal case.  The candidates are the strictly smaller
-members of t's partition, a tail of it kept in non-increasing size order,
-checked smallest first against the rest of the spec (less `Z`, `Y` and
-`S`), at most one letter of the chain `B`, `P`, `E`, `H`, whose kernel is
-called directly; when nothing is left, any candidate is a witness.
+value decides the equal case.  A partition keeps its members in
+non-increasing size order beside a column of their negated sizes, so one
+`bisect_right` over the column finds both the candidates, the strictly
+smaller tail, and where t goes if admitted, after the trees of its size.
+The candidates are checked smallest first, among equal sizes the newest
+first, against the rest of the spec (less `Z`, `Y` and `S`), at most one
+letter of the chain `B`, `P`, `E`, `H`, whose kernel is called directly;
+when nothing is left, any candidate is a witness.
 
 `NaiveChecker` is the differential-testing reference: it scans all
 admitted elements in order and applies the combined relation directly.
@@ -30,7 +33,7 @@ the position at which the witnessing element was pushed.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .orders import KEY_LETTERS, WqoSpec, base_relation, conjunction, implies, partition_key
@@ -105,17 +108,17 @@ class NaiveChecker(_CheckerBase):
         return PushOutcome(pos, False)
 
 
-def _neg_size(entry) -> int:
-    return -entry[1].size
-
-
 class SequenceChecker(_CheckerBase):
     """Optimized checker; see the module docstring for the rule."""
 
     def __init__(self, spec: WqoSpec):
         expanded = spec.expanded
-        self._key_parts = [partition_key(l, spec.y_threshold)
-                           for l in sorted(expanded & KEY_LETTERS)]
+        parts = [partition_key(l, spec.y_threshold) for l in sorted(expanded & KEY_LETTERS)]
+        if len(parts) == 2:
+            y, z = parts
+            self._key = lambda t: (y(t), z(t))
+        else:
+            self._key = parts[0] if parts else lambda t: 0
         # what a tree shares with every equal-size tree related to it
         if implies(spec, WqoSpec(frozenset("S"))):
             self._shared = lambda t, key: t
@@ -129,32 +132,38 @@ class SequenceChecker(_CheckerBase):
 
     def reset(self) -> None:
         super().reset()
+        # key -> (negated sizes ascending, the (pos, tree) members in that order)
         self._partitions: dict = {}
         self._seen: dict = {}
 
-    def _key(self, t: Tree):
-        return tuple(part(t) for part in self._key_parts)
-
     def push(self, t: Tree) -> PushOutcome:
-        self._enter(t)
+        if t.sig is not self.sig:
+            self._enter(t)
         pos = self.position
-        self.position += 1
+        self.position = pos + 1
         key = self._key(t)
         shared = self._shared(t, key)
         dup = self._seen.get(shared)
         if dup is not None:
             return PushOutcome(pos, True, dup)
-        members = self._partitions.setdefault(key, [])
-        candidates = members[bisect_right(members, -t.size, key=_neg_size):]
-        if candidates:
+        part = self._partitions.get(key)
+        if part is None:
+            part = self._partitions[key] = ([], [])
+        sizes, members = part
+        neg = -t.size
+        # past the equal sizes: the strictly smaller tail, and where t goes
+        i = bisect_right(sizes, neg)
+        if i < len(sizes):
             if self._related is None:
-                return PushOutcome(pos, True, candidates[-1][0])
+                return PushOutcome(pos, True, members[-1][0])
             # smallest first: a smaller tree is likelier to sit below t
-            witness, scanned = _scan(reversed(candidates), t, self._related)
+            witness, scanned = _scan(reversed(members[i:]), t, self._related)
             self.comparisons += scanned
             if witness is not None:
                 return PushOutcome(pos, True, witness)
-        insort(members, (pos, t), key=_neg_size)
+        sizes.insert(i, neg)
+        members.insert(i, (pos, t))
         self._seen[shared] = pos
         self.admitted.append((pos, t))
-        return PushOutcome(pos, False)
+        # the admit path's outcome without the named tuple's Python-level __new__
+        return tuple.__new__(PushOutcome, (pos, False, None))

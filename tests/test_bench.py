@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import time
 
 import pytest
 
 from treewqo import (
     NaiveChecker,
+    PushOutcome,
     SequenceChecker,
     bench_whistle,
     default_signature,
@@ -60,8 +62,9 @@ class TestBenchReport:
 
     def test_report_shape(self):
         rep = bench_whistle(parse_wqo_name("S"), 50, 20)
-        assert {(c, l) for c, l, _, _ in rep.rows} == {
-            ("optimized", 50), ("optimized", 100), ("naive", 50), ("naive", 100)}
+        # in timing order: a checker's two lengths back to back
+        assert [(c, l) for c, l, _, _ in rep.rows] == [
+            ("optimized", 50), ("optimized", 100), ("naive", 50), ("naive", 100)]
         assert all(secs >= 0 for _, _, secs, _ in rep.rows)
         assert all(wh == 0 for _, _, _, wh in rep.rows)
 
@@ -90,16 +93,19 @@ class TestBenchReport:
 
 class TestGarbageCollector:
     def test_pushes_are_timed_with_the_collector_off(self, sig):
-        seen, checker = [], NaiveChecker(parse_wqo_name("S"))
+        seen = []
 
         class Stub:
+            def __init__(self):
+                self.checker = NaiveChecker(parse_wqo_name("S"))
+
             def push(self, t):
                 seen.append(gc.isenabled())
-                return checker.push(t)
+                return self.checker.push(t)
 
         assert gc.isenabled()
-        _, whistles = _timed_run(Stub(), monotone_stream(sig, 3, 5))
-        assert seen == [False] * 3 and whistles == 0
+        _, whistles = _timed_run(Stub, monotone_stream(sig, 3, 5))
+        assert seen and not any(seen) and whistles == 0
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -110,3 +116,41 @@ class TestGarbageCollector:
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
+
+
+class TestRepeatedRuns:
+    @staticmethod
+    def clocked_runs(monkeypatch, sig, durations):
+        """Time runs that take the given seconds on a patched clock; return
+        the reported seconds and the checkers made."""
+        clock, made = [0.0], []
+        ticks = iter(durations)
+
+        class Stub:
+            def __init__(self):
+                self.pushes = 0
+                made.append(self)
+
+            def push(self, t):
+                self.pushes += 1
+                if self.pushes == 1:
+                    clock[0] += next(ticks)
+                return PushOutcome(self.pushes - 1, False)
+
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        secs, _ = _timed_run(Stub, monotone_stream(sig, 4, 5))
+        return secs, made
+
+    def test_short_runs_repeat_on_fresh_checkers(self, monkeypatch, sig):
+        # 0.17 s after four runs, so a fifth, and no sixth
+        secs, made = self.clocked_runs(monkeypatch, sig, [0.05, 0.02, 0.04, 0.06, 0.03, 0.01])
+        assert secs == pytest.approx(0.02)
+        assert len(made) == 5 and [c.pushes for c in made] == [4] * 5
+
+    def test_budget_stops_repeats(self, monkeypatch, sig):
+        secs, made = self.clocked_runs(monkeypatch, sig, [0.15, 0.1, 0.01])
+        assert secs == pytest.approx(0.1) and len(made) == 2
+
+    def test_long_run_runs_once(self, monkeypatch, sig):
+        secs, made = self.clocked_runs(monkeypatch, sig, [1.5, 0.01])
+        assert secs == pytest.approx(1.5) and len(made) == 1

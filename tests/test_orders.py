@@ -307,7 +307,9 @@ class TestSpecs:
             parse_wqo_name("Y", k)
         assert str(exc.value) == message
         t = parse_tree("c(a,a)", sig)
-        for refuse in (lambda: repeated_mask(t, k), lambda: rel_repeated(t, t, k)):
+        # the partition key refuses when it is built, before any tree
+        for refuse in (lambda: repeated_mask(t, k), lambda: rel_repeated(t, t, k),
+                       lambda: orders.partition_key("Y", k)):
             with pytest.raises(ValueError) as exc:
                 refuse()
             assert str(exc.value) == message

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treewqo import (
     GeneratorConfig,
@@ -18,6 +20,8 @@ from treewqo import (
     render_tree,
 )
 from treewqo.orders import KEY_LETTERS
+
+from .strategies import trees
 
 
 def push_all(checker, stream):
@@ -157,13 +161,40 @@ class TestAccelerationStructure:
         chk = SequenceChecker(spec)
         for t in random_stream(sig, 9, 150):
             before = chk.comparisons
-            key = chk._key(t)
-            partition_size = len(chk._partitions.get(key, []))
+            _, members = chk._partitions.get(chk._key(t), ((), ()))
+            partition_size = len(members)
             chk.push(t)
             assert chk.comparisons - before <= partition_size
-        for key, members in chk._partitions.items():
+        for key, (_, members) in chk._partitions.items():
             for _, t in members:
                 assert chk._key(t) == key
+
+    def test_equal_sizes_scan_newest_first(self, sig):
+        # both equal-size trees sit below the new one under P; among equal
+        # sizes the later admitted is tried first, and it is the witness
+        spec = parse_wqo_name("P")
+        chk = SequenceChecker(spec)
+        older, newer, t = stream_of(sig, "b(b(a))", "c(a,a)", "b(b(c(a,a)))")
+        assert chk.push(older).admitted and chk.push(newer).admitted
+        assert rel(spec, older, t) and rel(spec, newer, t)
+        assert chk.push(t) == (2, True, 1)
+        assert chk.comparisons == 1
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_size_column_follows_members(self, data):
+        # streams as drawn, by rising size or by falling size; small trees,
+        # so sizes tie often
+        spec = data.draw(st.sampled_from(all_named_specs()), label="spec")
+        stream = data.draw(st.lists(trees(max_depth=3), max_size=30), label="stream")
+        falling = data.draw(st.sampled_from([None, False, True]), label="falling")
+        if falling is not None:
+            stream.sort(key=lambda t: t.size, reverse=falling)
+        fast, slow = SequenceChecker(spec), NaiveChecker(spec)
+        for t in stream:
+            assert fast.push(t).whistled == slow.push(t).whistled
+            for sizes, members in fast._partitions.values():
+                assert sizes == sorted(sizes) == [-s.size for _, s in members]
 
     def test_size_shortcut_matches_definition(self, sig):
         # whistle iff the new tree is bigger than the last admitted one or
