@@ -125,15 +125,15 @@ def census(
 ) -> CensusResult:
     """Count related ordered pairs for each spec over the whole corpus.
 
-    All specs must share one y_threshold, and all trees one signature.
+    Specs that name Y must share one y_threshold, and all trees one signature.
     Deterministic for a fixed corpus; the per-spec boolean matrices are
     kept on the result for the audit.
     """
     if specs is None:
         specs = list(all_named_specs())
-    thresholds = {s.y_threshold for s in specs}
+    thresholds = {s.y_threshold for s in specs if "Y" in s.components}
     if len(thresholds) > 1:
-        raise ValueError("census specs must share one y_threshold")
+        raise ValueError("census specs that name Y must share one y_threshold")
     y_threshold = thresholds.pop() if thresholds else 2
     if len({t.sig for t in corpus}) > 1:
         raise ValueError("census trees must share one signature")

@@ -330,15 +330,18 @@ def rel_embed(s: Tree, t: Tree) -> bool:
 KEY_LETTERS = frozenset("ZY")
 
 
-def partition_key(letter: str, y_threshold: int) -> Callable[[Tree], int]:
-    """The key of a key order (Z or Y): two trees are related iff their keys
-    are equal: the fields of t's packed bag that count at least 1 for Z,
-    at least the threshold for Y (see `signature.bag_at_least`).  A Y
+def partition_key(letters: str | frozenset[str], y_threshold: int) -> Callable[[Tree], int]:
+    """One exact int per tree, equal for two trees iff they are related under
+    every key letter (Z, Y) in `letters`: the guard bits of the packed bag's
+    fields that count at least 1 for Z, at least the threshold for Y (see
+    `signature.bag_at_least`), Y's one place below Z's; 0 for neither.  A Y
     threshold that is not an int of at least 2 is refused here, once."""
-    if letter == "Y":
+    if "Y" in letters:
         _check_threshold(y_threshold)
-    return {"Z": lambda t: bag_at_least(t, 1),
-            "Y": lambda t: bag_at_least(t, y_threshold)}[letter]
+        if "Z" in letters:
+            return lambda t: bag_at_least(t, 1) | bag_at_least(t, y_threshold) >> 1
+        return lambda t: bag_at_least(t, y_threshold)
+    return (lambda t: bag_at_least(t, 1)) if "Z" in letters else (lambda t: 0)
 
 
 _BASE_RELS: dict[str, Callable[[Tree, Tree], bool]] = {

@@ -8,7 +8,8 @@ antichain under the checker's order.
 
 `SequenceChecker` decides every push by one rule read off the order
 lattice.  Trees with different `Z`/`Y` keys are unrelated, so the
-admitted trees are partitioned by those keys.  A spec that is not keys
+admitted trees are partitioned by one int per tree that packs both keys
+(`orders.partition_key`, called once a push).  A spec that is not keys
 alone implies `S` or `B`, and both bound size (a bag's total is the
 size), so s sits below t only if s is strictly smaller or shares what
 equal-size related trees share: the tree under `S`, else the bag under
@@ -113,12 +114,7 @@ class SequenceChecker(_CheckerBase):
 
     def __init__(self, spec: WqoSpec):
         expanded = spec.expanded
-        parts = [partition_key(l, spec.y_threshold) for l in sorted(expanded & KEY_LETTERS)]
-        if len(parts) == 2:
-            y, z = parts
-            self._key = lambda t: (y(t), z(t))
-        else:
-            self._key = parts[0] if parts else lambda t: 0
+        self._key = partition_key(expanded, spec.y_threshold)
         # what a tree shares with every equal-size tree related to it
         if implies(spec, WqoSpec(frozenset("S"))):
             self._shared = lambda t, key: t

@@ -328,3 +328,14 @@ def test_mixed_thresholds_rejected(small_corpus):
     corpus, _ = small_corpus
     with pytest.raises(ValueError, match="y_threshold"):
         census(corpus, [parse_wqo_name("Y", 2), parse_wqo_name("YS", 3)])
+
+
+def test_unused_thresholds_need_not_agree(small_corpus):
+    # a spec without Y ignores its threshold, so only specs naming Y must agree
+    corpus, _ = small_corpus
+    result = census(corpus, [parse_wqo_name("S"), parse_wqo_name("H", 3)])
+    assert result.y_threshold == 2
+    assert result.counts == census(corpus, [parse_wqo_name("S"), parse_wqo_name("H")]).counts
+    mixed = census(corpus, [parse_wqo_name("YS", 3), parse_wqo_name("H", 5), parse_wqo_name("M")])
+    assert mixed.y_threshold == 3
+    assert mixed.counts["YS"] == census(corpus, [parse_wqo_name("YS", 3)]).counts["YS"]

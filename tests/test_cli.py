@@ -131,6 +131,13 @@ class TestCensus:
         assert code == 0
         assert {l.split("\t")[0] for l in out.splitlines()[4:]} == {"S", "H"}
 
+    def test_threshold_of_all_orders(self, capsys):
+        # --k reaches every spec, and those without Y ignore it
+        code, out, err = run(capsys, "census", "--n", "20", "--k", "3", "--wqo", "all",
+                             "--audit")
+        assert code == 0 and "violations: 0" in err
+        assert len(out.splitlines()[4:]) == 27
+
     def test_audit_of_partial_census(self, capsys):
         # the audit recomputes the orders the census did not name
         code, _, err = run(capsys, "census", "--n", "10", "--wqo", "S,H", "--audit")

@@ -10,6 +10,7 @@ from treewqo import (
     Tree,
     constructor_set,
     default_signature,
+    parse_wqo_name,
     rel_bag,
     rel_repeated,
     rel_set,
@@ -54,6 +55,32 @@ def test_packed_bag_matches_counted_bag(sig, data):
         assert partition_key("Y", k)(t) == repeated_mask(t, k) == _key_at_least(t, k)
     # no tree counts 2**31 of anything: the key is empty, with no borrow
     assert partition_key("Y", 2 ** 31)(t) == partition_key("Y", 2 ** 40)(t) == 0
+
+
+# every shape of key-letter set: none, one letter, both, and spec expansions
+KEY_LETTER_SETS = ["", "Z", "Y", "ZY", parse_wqo_name("YZH").expanded,
+                   parse_wqo_name("YM").expanded]
+
+
+def _mirror(t):
+    # the same bag in a different shape: related under every key letter
+    return Tree(t.sig, t.root, tuple(_mirror(c) for c in reversed(t.children)))
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=["default", "wide"])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_one_key_relates_under_every_key_letter(sig, data):
+    s = data.draw(trees_over(sig))
+    pairs = [(s, data.draw(trees_over(sig))), (s, _mirror(s))]
+    for letters in KEY_LETTER_SETS:
+        for k in [2, 3, 5, 2 ** 31, 2 ** 40]:
+            key = partition_key(letters, k)
+            counts = [1 if l == "Z" else k for l in letters if l in "ZY"]
+            for a, b in pairs:
+                related = all(_names_at_least(a, n) == _names_at_least(b, n) for n in counts)
+                assert type(key(a)) is int and type(key(b)) is int
+                assert (key(a) == key(b)) == related, (letters, k)
 
 
 def _doublings(n):

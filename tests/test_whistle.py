@@ -17,6 +17,9 @@ from treewqo import (
     parse_wqo_name,
     random_tree,
     rel,
+    rel_embed,
+    rel_repeated,
+    rel_set,
     render_tree,
 )
 from treewqo.orders import KEY_LETTERS
@@ -195,6 +198,22 @@ class TestAccelerationStructure:
             assert fast.push(t).whistled == slow.push(t).whistled
             for sizes, members in fast._partitions.values():
                 assert sizes == sorted(sizes) == [-s.size for _, s in members]
+
+    @pytest.mark.parametrize("name, comparisons", [("YZ", 0), ("YZH", 1)])
+    def test_yz_key_tells_both_letters_apart(self, sig, name, comparisons):
+        # the first tree embeds in each of the next two, which share only its
+        # Z key or only its Y key; the last shares both keys and embeds it
+        first, same_z, same_y, last = stream_of(
+            sig, "c(c(a,a),b(a))", "c(c(a,a),b(b(a)))", "d(c(c(a,a),b(a)),a,a)",
+            "c(c(a,a),b(c(a,a)))")
+        assert rel_set(first, same_z) and not rel_repeated(first, same_z)
+        assert rel_repeated(first, same_y) and not rel_set(first, same_y)
+        assert rel_set(first, last) and rel_repeated(first, last)
+        assert all(rel_embed(first, t) for t in (same_z, same_y, last))
+        chk = SequenceChecker(parse_wqo_name(name))
+        assert [chk.push(t).whistled for t in (first, same_z, same_y)] == [False] * 3
+        assert chk.push(last) == (3, True, 0)
+        assert chk.comparisons == comparisons
 
     def test_size_shortcut_matches_definition(self, sig):
         # whistle iff the new tree is bigger than the last admitted one or
