@@ -15,14 +15,14 @@ implies either admit the whole stream.  Each tree is the canonical chain
 realization of one bag: a nullary leaf wrapped by the bag's non-nullary
 constructors, extra child slots filled with leaves.
 
-Timings cover the push loop only, with the cyclic garbage collector off,
-so that no collection over the stream's nodes lands in one run; tree
+Timings cover pushes only, with the cyclic garbage collector off, so
+that no collection over the stream's nodes lands in one run; tree
 construction and measure precomputation happen beforehand so both
-checkers see identical inputs.  A run is repeated on a fresh checker
-while the runs have taken under 0.2 s in all, at most 5 times, and the
-fastest is reported; a checker's two lengths are timed back to back.  So
-a short optimized run is not at the mercy of one slow spell of the host;
-a naive run takes seconds and runs once.
+checkers see identical inputs.  A checker's two lengths run in one pass
+on two fresh checkers, two pushes of the 2n stream for each push of its
+first n trees, each push timed alone.  A slow spell of the host then
+falls on both runs in the fixed ratio of their costs per step (4:1 for
+quadratic total work, 2:1 for linear), so it cancels in time(2n)/time(n).
 """
 
 from __future__ import annotations
@@ -60,13 +60,19 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
         yield _build(sig, chain[::-1] + [leaf] * (size - len(chain)))
 
 
+def _check_count(what: str, value: int, least: int) -> None:
+    """Refuse a count that is not an int (bool included) or below `least`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} is not an int: {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+
+
 def monotone_stream(sig: Signature, n: int, tree_size: int) -> list[Tree]:
     """n trees with pairwise-distinct bags, sizes non-increasing around
     `tree_size`; fully admitted under S, B and every order implying either."""
-    if n < 0:
-        raise ValueError(f"stream length must be >= 0, got {n}")
-    if tree_size < 1:
-        raise ValueError(f"tree size must be >= 1, got {tree_size}")
+    _check_count("stream length", n, 0)
+    _check_count("tree size", tree_size, 1)
     nullaries = [i for i, a in enumerate(sig.arities) if a == 0]
     wrappers = [i for i, a in enumerate(sig.arities) if a > 0]
     if not nullaries or not wrappers:
@@ -118,23 +124,22 @@ def _warm(trees: list[Tree], spec: WqoSpec) -> None:
         related(t, t)
 
 
-def _timed_run(make_checker, stream: list[Tree]) -> tuple[float, int]:
-    """Push the stream into a fresh checker from `make_checker`, again while
-    the runs have taken under 0.2 s in all, at most 5 times; the fastest
-    run's seconds (timeit's convention) and its whistle count."""
+def _interleaved_runs(make_checker, stream: list[Tree]) -> list[tuple[float, int]]:
+    """Push the first half of `stream` into one fresh checker from
+    `make_checker` and all of it into another, two pushes of the whole for
+    each of the half, each timed alone; (seconds, whistles) of each run."""
+    pushes = (make_checker().push, make_checker().push)
+    secs, whistles = [0.0, 0.0], [0, 0]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        times: list[float] = []
-        while len(times) < 5 and sum(times) < 0.2:
-            push = make_checker().push
-            start = time.perf_counter()
-            whistles = 0
-            for t in stream:
-                if push(t).whistled:
-                    whistles += 1
-            times.append(time.perf_counter() - start)
-        return min(times), whistles
+        for i in range(len(stream) // 2):
+            for run, t in ((1, stream[2 * i]), (1, stream[2 * i + 1]), (0, stream[i])):
+                start = time.perf_counter()
+                whistled = pushes[run](t).whistled
+                secs[run] += time.perf_counter() - start
+                whistles[run] += whistled
+        return list(zip(secs, whistles))
     finally:
         if enabled:
             gc.enable()
@@ -144,18 +149,14 @@ def bench_whistle(spec: WqoSpec, n: int, tree_size: int = 50,
                   sig: Signature | None = None) -> BenchReport:
     """Time optimized and naive checkers on monotone streams of length n
     and 2n (the length-n run takes the prefix of the longer stream)."""
-    if n < 0:
-        raise ValueError(f"stream length must be >= 0, got {n}")
+    _check_count("stream length", n, 0)
     # built even for n == 0, so that a bad size or signature is refused
     stream = monotone_stream(sig or default_signature(), 2 * n, tree_size)
     report = BenchReport(spec.name, n, tree_size)
     if n == 0:
         return report
     _warm(stream, spec)
-    # a checker's two lengths back to back: a slow spell of the host
-    # then tends to fall on both or on neither
     for label, checker in (("optimized", SequenceChecker), ("naive", NaiveChecker)):
-        for length in (n, 2 * n):
-            secs, whistles = _timed_run(partial(checker, spec), stream[:length])
-            report.rows.append((label, length, secs, whistles))
+        runs = _interleaved_runs(partial(checker, spec), stream)
+        report.rows += [(label, length, *run) for length, run in zip((n, 2 * n), runs)]
     return report

@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("bench", help="time optimized vs naive checkers at n and 2n, "
-                                     "each the fastest of up to 5 runs within 0.2 s")
+                                     "both lengths in one interleaved pass")
     common(p)
     p.add_argument("--n", type=int, required=True, help="stream length")
     p.add_argument("--size", type=int, default=50, help="approximate tree size")

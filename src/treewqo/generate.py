@@ -76,6 +76,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if not self.signature.has_probabilities:
             raise ValueError("generation needs a signature with probabilities")
+        for name in ("seed", "corpus_size", "size_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name.replace('_', ' ')} is not an int: {value!r}")
         if self.corpus_size < 0:
             raise ValueError(f"corpus size must be >= 0, got {self.corpus_size}")
         if self.size_cap < 1:

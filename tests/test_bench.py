@@ -14,7 +14,7 @@ from treewqo import (
     parse_wqo_name,
     render_tree,
 )
-from treewqo.bench import _timed_run
+from treewqo.bench import _interleaved_runs
 
 
 class TestMonotoneStream:
@@ -41,6 +41,16 @@ class TestMonotoneStream:
         with pytest.raises(ValueError, match="stream length must be >= 0, got -5"):
             monotone_stream(sig, -5, 10)
 
+    @pytest.mark.parametrize("n, size, message", [
+        (2.5, 10, "stream length is not an int: 2.5"),
+        (True, 10, "stream length is not an int: True"),
+        (5, 10.0, "tree size is not an int: 10.0"),
+        (5, False, "tree size is not an int: False"),
+    ])
+    def test_refuses_non_int_counts(self, sig, n, size, message):
+        with pytest.raises(ValueError, match=message):
+            monotone_stream(sig, n, size)
+
     def test_needs_workable_signature(self):
         from treewqo import Signature
         with pytest.raises(ValueError, match="nullary"):
@@ -62,11 +72,20 @@ class TestBenchReport:
 
     def test_report_shape(self):
         rep = bench_whistle(parse_wqo_name("S"), 50, 20)
-        # in timing order: a checker's two lengths back to back
+        # a checker's two lengths next to each other, n before 2n
         assert [(c, l) for c, l, _, _ in rep.rows] == [
             ("optimized", 50), ("optimized", 100), ("naive", 50), ("naive", 100)]
         assert all(secs >= 0 for _, _, secs, _ in rep.rows)
         assert all(wh == 0 for _, _, _, wh in rep.rows)
+
+    @pytest.mark.parametrize("n, size, message", [
+        (2.5, 10, "stream length is not an int: 2.5"),
+        (True, 10, "stream length is not an int: True"),
+        (5, 10.0, "tree size is not an int: 10.0"),
+    ])
+    def test_refuses_bad_counts(self, n, size, message):
+        with pytest.raises(ValueError, match=message):
+            bench_whistle(parse_wqo_name("S"), n, size)
 
     def test_tsv_round_numbers(self):
         rep = bench_whistle(parse_wqo_name("M"), 20, 15)
@@ -104,8 +123,9 @@ class TestGarbageCollector:
                 return self.checker.push(t)
 
         assert gc.isenabled()
-        _, whistles = _timed_run(Stub, monotone_stream(sig, 3, 5))
-        assert seen and not any(seen) and whistles == 0
+        runs = _interleaved_runs(Stub, monotone_stream(sig, 4, 5))
+        assert len(seen) == 6 and not any(seen)
+        assert [whistles for _, whistles in runs] == [0, 0]
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -118,13 +138,14 @@ class TestGarbageCollector:
             gc.enable()
 
 
-class TestRepeatedRuns:
+class TestInterleavedPass:
     @staticmethod
-    def clocked_runs(monkeypatch, sig, durations):
-        """Time runs that take the given seconds on a patched clock; return
-        the reported seconds and the checkers made."""
-        clock, made = [0.0], []
-        ticks = iter(durations)
+    def clocked_pass(monkeypatch, n, slow=range(0)):
+        """Run the pass over the stream 0..2n-1 with stub checkers whose push
+        at position p takes (p + 1) * speed seconds of a patched clock, speed
+        3 while the pass's push count is in `slow` and 1 elsewhere; the runs
+        and the pushes in pass order as (checker made, tree)."""
+        clock, made, log = [0.0], [], []
 
         class Stub:
             def __init__(self):
@@ -133,24 +154,32 @@ class TestRepeatedRuns:
 
             def push(self, t):
                 self.pushes += 1
-                if self.pushes == 1:
-                    clock[0] += next(ticks)
-                return PushOutcome(self.pushes - 1, False)
+                clock[0] += self.pushes * (3 if len(log) in slow else 1)
+                log.append((made.index(self), t))
+                return PushOutcome(self.pushes - 1, t % 3 == 0)
 
         monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
-        secs, _ = _timed_run(Stub, monotone_stream(sig, 4, 5))
-        return secs, made
+        return _interleaved_runs(Stub, list(range(2 * n))), log
 
-    def test_short_runs_repeat_on_fresh_checkers(self, monkeypatch, sig):
-        # 0.17 s after four runs, so a fifth, and no sixth
-        secs, made = self.clocked_runs(monkeypatch, sig, [0.05, 0.02, 0.04, 0.06, 0.03, 0.01])
-        assert secs == pytest.approx(0.02)
-        assert len(made) == 5 and [c.pushes for c in made] == [4] * 5
+    def test_two_whole_pushes_for_each_half_push(self, monkeypatch):
+        _, log = self.clocked_pass(monkeypatch, 5)
+        whole, half = log[0][0], log[2][0]
+        assert whole != half
+        assert [t for c, t in log if c == half] == list(range(5))
+        assert [t for c, t in log if c == whole] == list(range(10))
+        assert [c for c, _ in log] == [whole, whole, half] * 5
 
-    def test_budget_stops_repeats(self, monkeypatch, sig):
-        secs, made = self.clocked_runs(monkeypatch, sig, [0.15, 0.1, 0.01])
-        assert secs == pytest.approx(0.1) and len(made) == 2
+    @pytest.mark.parametrize("slow", [range(0, 100), range(100, 200), range(200, 300)],
+                             ids=["first", "middle", "last"])
+    def test_slow_spell_cancels_in_the_ratio(self, monkeypatch, slow):
+        steady, _ = self.clocked_pass(monkeypatch, 100)
+        spelled, _ = self.clocked_pass(monkeypatch, 100, slow)
+        assert spelled[1][0] > steady[1][0]
+        ratio = steady[1][0] / steady[0][0]
+        assert spelled[1][0] / spelled[0][0] == pytest.approx(ratio, rel=0.02)
 
-    def test_long_run_runs_once(self, monkeypatch, sig):
-        secs, made = self.clocked_runs(monkeypatch, sig, [1.5, 0.01])
-        assert secs == pytest.approx(1.5) and len(made) == 1
+    def test_whistles_counted_per_run(self, monkeypatch):
+        # the stub whistles on every third tree: 0, 3, ..., 99 of the
+        # half stream and 0, 3, ..., 198 of the whole
+        runs, _ = self.clocked_pass(monkeypatch, 100)
+        assert [whistles for _, whistles in runs] == [34, 67]

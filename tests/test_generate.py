@@ -72,6 +72,17 @@ def test_probabilities_required():
         GeneratorConfig(Signature([("a", 0), ("b", 1)]), seed=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("corpus_size", 2.5), ("size_cap", 10.5),
+    ("size_cap", False),
+])
+def test_non_int_counts_refused(field, value):
+    # a float cap would never equal a draw's length, so it would not cap
+    message = f"{field.replace('_', ' ')} is not an int: {value!r}"
+    with pytest.raises(ValueError, match=message):
+        GeneratorConfig(default_signature(), **{field: value})
+
+
 class TestCorpus:
     def test_distinct_and_sized(self):
         cfg = GeneratorConfig(default_signature(), seed=11, corpus_size=200)
