@@ -80,6 +80,8 @@ class GeneratorConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name.replace('_', ' ')} is not an int: {value!r}")
+        if not isinstance(self.distinct, bool):
+            raise ValueError(f"distinct is not a bool: {self.distinct!r}")
         if self.corpus_size < 0:
             raise ValueError(f"corpus size must be >= 0, got {self.corpus_size}")
         if self.size_cap < 1:

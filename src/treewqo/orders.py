@@ -32,7 +32,8 @@ from functools import lru_cache
 from operator import le
 from typing import Callable
 
-from .signature import ConstructorBag, Tree, _check_threshold, bag_at_least, tree_equal
+from .signature import (ConstructorBag, Tree, _check_threshold, _subtree_spans, bag_at_least,
+                        tree_equal)
 
 __all__ = [
     "LETTERS",
@@ -272,37 +273,50 @@ def rel_embed(s: Tree, t: Tree) -> bool:
 
     s embeds into t iff the roots are equal and the children embed
     pairwise (coupling), or s embeds into some child of t (diving).
-    Decided iteratively with memoization over subtree pairs, keyed by
-    object identity, with a fresh memo for every call.  H implies S and B,
+    Decided iteratively on index pairs into the two preorder code arrays,
+    with a fresh memo for every call.  No node is read: a subtree at i
+    spans `pre[i:ends[i]]`, its children start at i + 1 and at each
+    child's end, and its packed bag is a difference of prefix sums, both
+    cached on the tree (`signature._subtree_spans`).  H implies S and B,
     so a subproblem whose left subtree is not smaller holds only when the
-    two are equal, and one whose left bag is not a sub-multiset of the
-    right one fails; both are decided without recursion, the bag by
-    `rel_bag`'s borrow test.
+    two code slices are equal, and one whose left bag is not a
+    sub-multiset of the right one fails (`rel_bag`'s borrow test).
     """
     guards = t.sig.bag_guards
-    memo: dict[tuple[int, int], bool] = {}
-    stack = [(s, t)]
+    if s.size >= t.size or ((t.packed_bag | guards) - s.packed_bag) & guards != guards:
+        return tree_equal(s, t)  # decided at the roots, before any spans are made
+    sp, tp = s.pre, t.pre
+    s_ends, s_sums = _subtree_spans(s)
+    t_ends, t_sums = _subtree_spans(t)
+    width = len(tp)
+    memo: dict[int, bool] = {}  # i * width + j -> the verdict on (s at i, t at j)
+    stack = [(0, 0)]
     while stack:
-        a, b = stack[-1]
-        key = (id(a), id(b))
+        i, j = stack[-1]
+        key = i * width + j
         if key in memo:
             stack.pop()
             continue
-        if a.size >= b.size or ((b.packed_bag | guards) - a.packed_bag) & guards != guards:
-            memo[key] = a.size == b.size and tree_equal(a, b)
+        ei, ej = s_ends[i], t_ends[j]
+        if (ei - i >= ej - j
+                or ((t_sums[ej] - t_sums[j]) | guards) - (s_sums[ei] - s_sums[i]) & guards != guards):
+            memo[key] = ei - i == ej - j and sp[i:ei] == tp[j:ej]
             stack.pop()
             continue
         pending = None
-        if a.root == b.root:
+        # a leaf that passed the bag test occurs in the right subtree
+        if sp[i] == tp[j] or ei == i + 1:
             coupled = True
-            for ca, cb in zip(a.children, b.children):
-                v = memo.get((id(ca), id(cb)))
+            ci, cj = i + 1, j + 1
+            while ci < ei:
+                v = memo.get(ci * width + cj)
                 if v is None:
-                    pending = (ca, cb)
+                    pending = (ci, cj)
                     break
                 if not v:
                     coupled = False
                     break
+                ci, cj = s_ends[ci], t_ends[cj]
             if pending is not None:
                 stack.append(pending)
                 continue
@@ -311,20 +325,22 @@ def rel_embed(s: Tree, t: Tree) -> bool:
                 stack.pop()
                 continue
         dived = False
-        for cb in b.children:
-            v = memo.get((id(a), id(cb)))
+        cj = j + 1
+        while cj < ej:
+            v = memo.get(i * width + cj)
             if v is None:
-                pending = (a, cb)
+                pending = (i, cj)
                 break
             if v:
                 dived = True
                 break
+            cj = t_ends[cj]
         if pending is not None:
             stack.append(pending)
             continue
         memo[key] = dived
         stack.pop()
-    return memo[(id(s), id(t))]
+    return memo[0]
 
 
 KEY_LETTERS = frozenset("ZY")

@@ -5,13 +5,16 @@ A Signature is a finite alphabet of constructors, each with a fixed arity
 generator).  A Tree is a finite term over one signature; the number of
 children of every node must equal its constructor's declared arity.
 
-Every tree node eagerly carries the cheap bottom-up measures (size,
-packed constructor bag, structural hash) so that sequence checkers never
-recompute them; `_fill` is their one definition.  `Tree()` checks arity
-and signature before it.  The parser, the generator and `monotone_stream`
-match every arity themselves and build unchecked, the last two through
-`_build`.  Parsed and generated trees share one leaf per nullary
-constructor within one call, and no node outlives the call in any cache.
+A tree has one of two backings and one identity.  A node-backed tree,
+built by `Tree()`, the generator or `monotone_stream` (the last two
+through `_build`), holds its children and makes its codes on first use.
+A parsed tree holds its scaled preorder codes and builds its children
+once, on first access, through `_build`; no push of a named order reads
+them.  Each root eagerly carries size, packed constructor bag and
+structural hash: `_fill` defines them for nodes, and `parse_tree`
+computes the same three in its one pass.  Only `Tree()` checks arity and
+signature.  One `_build` call shares one leaf per nullary constructor,
+and no node outlives its call in any cache.
 
 The packed bag is one int holding a 32-bit field per constructor: the
 count of constructor i sits in bits 32*i .. 32*i + 30, and bit 32*i + 31,
@@ -25,20 +28,21 @@ bits of the fields that count k or more, so the constructor set is the
 bag's support, `bag_at_least(t, 1)`, and the repeated set is
 `bag_at_least(t, k)`.
 
-The traversals are computed once on first access and cached on the node
-as plain tuples of ints: `pre` and `eul` hold the preorder and Euler
-traversal codes; `bag` decodes the packed bag into one count per
-constructor on every access.  The order kernels read these fields
-directly; the measure functions decode them into names and symbols:
-`constructor_set` and `repeated_set` return a frozenset of names,
-`constructor_bag` a `ConstructorBag`, and the two traversals a tuple of
-`TraversalSymbol`.  All traversals are iterative, so deep chain-shaped
-trees do not hit the interpreter recursion limit.
+The traversals are plain tuples of ints, cached once made: `pre` and
+`eul` hold the preorder and Euler traversal codes, walked over the nodes
+of a node-backed tree and read off a parsed tree's codes; `bag` decodes
+the packed bag into one count per constructor on every access.  The
+order kernels read these fields directly; the measure functions decode
+them into names and symbols: `constructor_set` and `repeated_set` return
+a frozenset of names, `constructor_bag` a `ConstructorBag`, and the two
+traversals a tuple of `TraversalSymbol`.  All traversals are iterative,
+so deep chain-shaped trees do not hit the interpreter recursion limit.
 
 Traversal strings use one alphabet for both traversals: the symbol "c
 visited i times" is encoded as ``index(c) * (max_arity + 1) + i``.  A
 preorder string is then exactly the subsequence of the Euler string formed
-by the visit-0 symbols.
+by the visit-0 symbols.  Arities are fixed, so equal `pre` means equal
+trees over one signature.
 
 The structural hash is Python's tuple hash of the root index and the
 children's hashes.  Int and tuple hashes are not salted, so it is stable
@@ -50,6 +54,7 @@ persisted.  Reproducible corpora rest on `generate.SplitMix64` instead.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -156,6 +161,10 @@ class Signature:
         self.bag_ones = sum(self.bag_units)
         self.bag_guards = self.bag_ones << 31
         self._bag_struct = struct.Struct(f"<{len(ctors)}I")
+        # a preorder code's arity and bag unit, read without a division
+        codes = range(0, len(ctors) * self.sym_stride, self.sym_stride)
+        self._code_arity = dict(zip(codes, self.arities))
+        self._code_unit = dict(zip(codes, self.bag_units))
 
     def __len__(self) -> int:
         return len(self.constructors)
@@ -254,13 +263,14 @@ class Tree:
     children's type and signature, then computes size, packed bag and
     structural hash in O(arity) from the children's measures; it refuses
     a tree of 2**31 nodes or more, whose counts would not fit their
-    fields.  The parser, the generator and `monotone_stream` build
-    unchecked, and parsed and generated trees share one leaf per nullary
-    constructor.
+    fields.  Such a tree is node-backed: `children` is its primary data
+    and `pre` is walked on first use.  `parse_tree` returns a tree backed
+    by its preorder codes instead (see the module docstring); the two
+    backings hash and compare alike.
     """
 
     __slots__ = ("sig", "root", "children", "size", "packed_bag", "struct_hash",
-                 "_pre", "_eul")
+                 "_pre", "_eul", "_spans")
 
     def __init__(self, sig: Signature, root: int, children: Iterable["Tree"] = ()):
         children = tuple(children)
@@ -345,13 +355,53 @@ class Tree:
 _new_tree = Tree.__new__
 
 
+class _ParsedTree(Tree):
+    """A tree backed by its scaled preorder codes `_pre`; see `parse_tree`."""
+
+    __slots__ = ()
+
+    @property
+    def children(self) -> tuple[Tree, ...]:
+        """Node-backed children, built once on first access."""
+        try:
+            return Tree.children.__get__(self)  # the base class's slot
+        except AttributeError:
+            stride = self.sig.sym_stride
+            kids = _build(self.sig, [c // stride for c in self._pre]).children
+            Tree.children.__set__(self, kids)
+            return kids
+
+    @property
+    def eul(self) -> tuple[int, ...]:
+        """Read off the codes: a node's visit-i code ends its i-th child."""
+        if self._eul is None:
+            stride = self.sig.sym_stride
+            arities = self.sig.arities
+            code_arity = self.sig._code_arity
+            codes = []
+            pending = []  # the next code of every node with children to finish
+            for c in self._pre:
+                codes.append(c)
+                if code_arity[c]:
+                    pending.append(c + 1)
+                    continue
+                while pending:
+                    c = pending.pop()
+                    codes.append(c)
+                    if c % stride != arities[c // stride]:
+                        pending.append(c + 1)
+                        break
+            self._eul = tuple(codes)
+        return self._eul
+
+
 def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tree:
     """Set every field of the node `t` and return it, checking nothing.
 
-    The one definition of the eager measures: size, packed bag and
-    structural hash, each from the children's in O(arity).  `Tree()`
-    calls it before its size check; `parse_tree` and `_build` call it on
-    `_new_tree(Tree)`, having matched arity and signature themselves.
+    The one definition of the eager measures of a node: size, packed bag
+    and structural hash, each from the children's in O(arity).  `Tree()`
+    calls it before its size check and `_build` on `_new_tree(Tree)`,
+    having matched arity and signature itself.
     """
     t.sig = sig
     t.root = root
@@ -366,7 +416,7 @@ def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tre
     t.size = n
     t.packed_bag = bag
     t.struct_hash = hash(tuple(hashes))
-    t._pre = t._eul = None
+    t._pre = t._eul = t._spans = None
     return t
 
 
@@ -388,6 +438,24 @@ def _build(sig: Signature, roots: list[int]) -> Tree:
                 node = leaves[root] = _fill(_new_tree(Tree), sig, root, ())
         stack.append(node)
     return stack[0]
+
+
+def _subtree_spans(t: Tree) -> tuple[list[int], list[int]]:
+    """The subtree at position i of `t.pre` is `t.pre[i:ends[i]]`, and its
+    packed bag is `sums[ends[i]] - sums[i]`; made once and cached on t."""
+    spans = t._spans
+    if spans is None:
+        code_arity = t.sig._code_arity
+        pre = t.pre
+        ends = [0] * len(pre)
+        done: list[int] = []  # ends of the finished subtrees, the leftmost last
+        for i in range(len(pre) - 1, -1, -1):
+            arity = code_arity[pre[i]]
+            ends[i] = end = done[-arity] if arity else i + 1
+            done[len(done) - arity:] = (end,)
+        sums = list(accumulate(map(t.sig._code_unit.__getitem__, pre), initial=0))
+        spans = t._spans = (ends, sums)
+    return spans
 
 
 class ConstructorBag:
@@ -521,20 +589,13 @@ def tree_hash(t: Tree) -> int:
 
 
 def tree_equal(t: Tree, u: Tree) -> bool:
-    """Structural equality (hash-guarded, iterative)."""
+    """Structural equality: hash, size and signature first, then the
+    preorder codes, which determine a tree (any backing, iterative)."""
     if t is u:
         return True
     if t.struct_hash != u.struct_hash or t.size != u.size or t.sig != u.sig:
         return False
-    stack = [(t, u)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.root != b.root or a.struct_hash != b.struct_hash:
-            return False
-        stack.extend(zip(a.children, b.children))
-    return True
+    return t.pre == u.pre
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +636,22 @@ def parse_tree(text: str, sig: Signature) -> Tree:
     offending constructor's position) and malformed syntax.  The text is
     split into tokens by `str` builtins (see `_tokens`) and the parser
     counts positions in tokens; only an error turns its token index into
-    a character offset, by walking the same token list (`_offset`).  The
-    parser checks every name and arity itself and builds nodes without
-    `Tree()`'s checks.  Within one call, every occurrence of a nullary
-    constructor is one shared leaf; two calls share no node.
+    a character offset, by walking the same token list (`_offset`).
+
+    The parser checks every name, delimiter and arity itself and builds
+    no node.  It returns a tree backed by its scaled preorder codes, with
+    size, packed bag and the nested structural hash computed in the same
+    pass, so it hashes and compares equal to the same tree built by
+    `Tree()`.  Its children are built on first access, sharing one leaf
+    per nullary constructor; two parses share no node.
     """
     index = sig._index
     arities = sig.arities
-    leaves: dict[int, Tree] = {}  # nullary constructor -> its leaf, for this call only
-    frames: list[tuple[int, int, list[Tree]]] = []  # open terms: (constructor, name token, children)
+    stride = sig.sym_stride
+    units = sig.bag_units
+    codes: list[int] = []  # the scaled preorder codes
+    bag = 0
+    frames: list[tuple[int, list[int]]] = []  # open terms: (name token, [constructor, child hashes])
     error = None
     # positions are token indices until an error needs the character offset
     toks = _tokens(text)
@@ -595,35 +663,40 @@ def parse_tree(text: str, sig: Signature) -> Tree:
                      else f"expected a constructor, found {tok!r}" if tok in "(),"
                      else f"unknown constructor {tok!r}")
             break
+        codes.append(cidx * stride)
+        bag += units[cidx]
         # a name is never the last token, which is the "" end of input
         name_at = at
         at, tok = next(tokens)
         if tok == "(":
-            frames.append((cidx, name_at, []))
+            frames.append((name_at, [cidx]))
             continue
         if arities[cidx]:
             error, at = _arity_mismatch(sig, cidx, 0), name_at
             break
-        node = leaves.get(cidx)
-        if node is None:
-            node = leaves[cidx] = _fill(_new_tree(Tree), sig, cidx, ())
+        h = hash((cidx,))
         # close terms until a "," asks for the next name
         while frames:
-            frames[-1][2].append(node)
+            frames[-1][1].append(h)
             if tok == ",":
                 break
             if tok != ")":
                 error = f"expected ',' or ')', found {tok!r}" if tok else "unexpected end of input"
                 break
-            cidx, name_at, kids = frames.pop()
-            if len(kids) != arities[cidx]:
-                error, at = _arity_mismatch(sig, cidx, len(kids)), name_at
+            name_at, hashes = frames.pop()
+            cidx = hashes[0]
+            if len(hashes) - 1 != arities[cidx]:
+                error, at = _arity_mismatch(sig, cidx, len(hashes) - 1), name_at
                 break
-            node = _fill(_new_tree(Tree), sig, cidx, tuple(kids))
+            h = hash(tuple(hashes))
             at, tok = next(tokens)
         else:
             if not tok:
-                return node
+                t = _new_tree(_ParsedTree)
+                t.sig, t.root, t.size, t.packed_bag, t.struct_hash = (
+                    sig, codes[0] // stride, len(codes), bag, h)
+                t._pre, t._eul, t._spans = tuple(codes), None, None
+                return t
             error = f"unexpected {tok!r} after term"
         if error is not None:
             break

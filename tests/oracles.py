@@ -1,7 +1,8 @@
 """Independent reference implementations used only to cross-check the
 package: a table-filling subsequence decision, a direct, memo-free
-recursive embedding check, a node-counting constructor bag, a one-regex
-term tokenizer and a one-regex name check.  Kept deliberately naive."""
+recursive embedding check, a node-counting constructor bag, recursive
+preorder and Euler traversals, a one-regex term tokenizer and a one-regex
+name check.  Kept deliberately naive."""
 
 import re
 from collections import Counter
@@ -48,6 +49,21 @@ def naive_bag(t) -> tuple[int, ...]:
         counts[node.root] += 1
         stack.extend(node.children)
     return tuple(counts[i] for i in range(len(t.sig)))
+
+
+def naive_preorder(t) -> list[int]:
+    """The root indices of t in preorder, by direct recursion."""
+    return [t.root] + [r for child in t.children for r in naive_preorder(child)]
+
+
+def naive_euler(t) -> list[tuple[int, int]]:
+    """(root index, children visited so far) along t's Euler tour, by
+    direct recursion."""
+    out = [(t.root, 0)]
+    for visit, child in enumerate(t.children, start=1):
+        out += naive_euler(child)
+        out.append((t.root, visit))
+    return out
 
 
 def regex_tokens(text: str) -> list[tuple[str, int]]:

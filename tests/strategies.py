@@ -2,9 +2,12 @@
 
 from hypothesis import strategies as st
 
-from treewqo import Tree, default_signature
+from treewqo import Signature, Tree, default_signature
 
 SIG = default_signature()
+
+# multi-character names, two of them nullary
+MULTI_SIG = Signature([("nil", 0), ("x1", 0), ("wrap", 1), ("cons", 2), ("t3", 3)])
 
 
 @st.composite

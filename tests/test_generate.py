@@ -83,6 +83,13 @@ def test_non_int_counts_refused(field, value):
         GeneratorConfig(default_signature(), **{field: value})
 
 
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_non_bool_distinct_refused(value):
+    # any truthy value used to mean True, "no" included
+    with pytest.raises(ValueError, match=f"distinct is not a bool: {value!r}"):
+        GeneratorConfig(default_signature(), seed=1, corpus_size=50, distinct=value)
+
+
 class TestCorpus:
     def test_distinct_and_sized(self):
         cfg = GeneratorConfig(default_signature(), seed=11, corpus_size=200)

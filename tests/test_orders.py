@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treewqo import (
     ConstructorBag,
@@ -22,12 +23,28 @@ from treewqo import (
     rel_set,
     rel_size,
     rel_sized_set,
+    render_tree,
 )
 from treewqo import orders
 from treewqo.signature import repeated_mask
 
-from .oracles import dp_is_subsequence, naive_embeds
-from .strategies import symbol_strings, trees
+from .oracles import dp_is_subsequence, naive_bag, naive_embeds, naive_euler, naive_preorder
+from .strategies import MULTI_SIG, symbol_strings, trees, trees_over
+
+
+def oracle_verdicts(s, t) -> dict[str, bool]:
+    """Each base letter's verdict on (s, t), from the naive references."""
+    bs, bt = naive_bag(s), naive_bag(t)
+    at_least = lambda bag, k: [c >= k for c in bag]
+    same_set = at_least(bs, 1) == at_least(bt, 1)
+    sized = sum(bs) < sum(bt) or render_tree(s) == render_tree(t)
+    return {
+        "S": sized, "Z": same_set, "Y": at_least(bs, 2) == at_least(bt, 2),
+        "B": all(a <= b for a, b in zip(bs, bt)), "M": same_set and sized,
+        "P": dp_is_subsequence(naive_preorder(s), naive_preorder(t)),
+        "E": dp_is_subsequence(naive_euler(s), naive_euler(t)),
+        "H": naive_embeds(s, t),
+    }
 
 
 class TestSubsequence:
@@ -135,6 +152,21 @@ class TestBaseRelations:
     @settings(max_examples=300)
     def test_embed_agrees_with_naive_recursion(self, s, t):
         assert rel_embed(s, t) == naive_embeds(s, t)
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_two_backings_one_verdict(self, data):
+        # p is backed by its preorder codes, t and u by their nodes
+        strategy = data.draw(st.sampled_from([trees(max_depth=3), trees_over(MULTI_SIG)]))
+        t, u = data.draw(strategy), data.draw(strategy)
+        p = parse_tree(render_tree(t), t.sig)
+        forward, backward = oracle_verdicts(t, u), oracle_verdicts(u, t)
+        assert sorted(forward) == sorted(orders.LETTERS)
+        for letter in orders.LETTERS:
+            check = orders.base_relation(letter)
+            assert check(p, u) == check(t, u) == forward[letter], letter
+            assert check(u, p) == check(u, t) == backward[letter], letter
+            assert check(p, t) and check(t, p), letter
 
     def test_embed_equal_size_pairs(self, sig):
         # H implies S: trees of one size are related only when equal

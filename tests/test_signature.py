@@ -18,6 +18,7 @@ from treewqo import (
     load_trees,
     parse_tree,
     pre_traversal,
+    rel_embed,
     render_tree,
     repeated_set,
     save_trees,
@@ -29,7 +30,7 @@ from treewqo import (
 from treewqo.signature import _build, _check_constructor, _offset, _tokens
 
 from .oracles import regex_is_name, regex_tokens
-from .strategies import trees, trees_over
+from .strategies import MULTI_SIG, trees, trees_over
 
 
 # what term text is made of: delimiters, names, every whitespace class and
@@ -42,9 +43,6 @@ TOKENIZER_PIECES = (
 )
 
 TERM_TEXTS = st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=24).map("".join)
-
-# multi-character names, two of them nullary
-MULTI_SIG = Signature([("nil", 0), ("x1", 0), ("wrap", 1), ("cons", 2), ("t3", 3)])
 
 
 def sym_str(ts):
@@ -160,6 +158,11 @@ class TestParsing:
         # those checks and shares leaves
         text = render_tree(t)
         parsed = parse_tree(text, t.sig)
+        # the root is backed by its codes: one tree with t to every reader,
+        # its Euler string read off the codes before any node is built
+        assert parsed.eul == t.eul and parsed.packed_bag == t.packed_bag
+        assert parsed == t and t == parsed and hash(parsed) == hash(t)
+        assert len({parsed, t}) == 1 and parsed in {t} and t in {parsed}
         built, got = list(t.nodes()), list(parsed.nodes())
         assert len(got) == len(built)
         for a, b in zip(built, got):
@@ -212,6 +215,17 @@ def test_tree_keeps_its_own_children(sig):
 def test_tree_refuses_a_child_that_is_no_tree(sig):
     with pytest.raises(TypeError, match="child of type 'str' is not a Tree"):
         Tree(sig, 1, ["a"])
+
+
+@given(t=trees_over(MULTI_SIG))
+@settings(max_examples=100)
+def test_node_over_parsed_children_equals_its_parse(t):
+    sig = t.sig
+    node = Tree(sig, t.root, [parse_tree(render_tree(c), sig) for c in t.children])
+    p = parse_tree(render_tree(node), sig)
+    assert node == p and p == node and node == t
+    assert hash(node) == hash(p) == hash(t)
+    assert (node.pre, node.eul, node.bag, node.size) == (p.pre, p.eul, p.bag, p.size)
 
 
 class TestBuild:
@@ -510,9 +524,21 @@ def test_tree_file_byte_order_mark_skipped(tmp_path, sig):
 
 
 def test_deep_tree_no_recursion_limit(sig):
-    deep = "b(" * 5000 + "a" + ")" * 5000
+    n = 100_000
+    deep = "b(" * n + "a" + ")" * n
     t = parse_tree(deep, sig)
-    assert size(t) == 5001
+    assert size(t) == n + 1
+    assert constructor_bag(t).counts == (1, n, 0, 0)
+    # the Euler string from the codes, before the children are built
+    assert len(euler_traversal(t)) == 2 * n + 1
+    chain = Tree(sig, 0)
+    for _ in range(n):
+        chain = Tree(sig, 1, (chain,))
+    assert t.eul == chain.eul
+    assert t == chain and chain == t
+    assert t.children[0].size == n and t.children[0] == chain.children[0]
+    assert sum(1 for _ in t.nodes()) == n + 1
     assert render_tree(t) == deep
-    assert constructor_bag(t).counts == (1, 5000, 0, 0)
-    assert len(euler_traversal(t)) == 10001
+    longer = Tree(sig, 1, (chain,))
+    assert rel_embed(t, longer) and not rel_embed(longer, t)
+    assert rel_embed(t, chain) and rel_embed(chain, t)

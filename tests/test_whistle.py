@@ -1,3 +1,5 @@
+from types import MemberDescriptorType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +24,10 @@ from treewqo import (
     rel_set,
     render_tree,
 )
+from treewqo import signature
 from treewqo.orders import KEY_LETTERS
 
-from .strategies import trees
+from .strategies import MULTI_SIG, trees, trees_over
 
 
 def push_all(checker, stream):
@@ -99,6 +102,17 @@ class TestPushExamples:
         assert chk.push(parse_tree("a", twin)).admitted
         with pytest.raises(ValueError, match="different signature"):
             chk.push(parse_tree("a", Signature([("a", 0), ("b", 1)])))
+
+    @given(t=st.one_of(trees(), trees_over(MULTI_SIG)))
+    @settings(max_examples=100)
+    def test_other_backing_of_an_admitted_tree_whistles(self, t):
+        # t is built by Tree(), its parsed copy p is backed by codes
+        p = parse_tree(render_tree(t), t.sig)
+        for checker in (SequenceChecker, NaiveChecker):
+            for first, second in ((p, t), (t, p)):
+                chk = checker(parse_wqo_name("S"))
+                assert chk.push(first).admitted
+                assert chk.push(second) == (1, True, 0)
 
     def test_reset(self, sig):
         chk = SequenceChecker(parse_wqo_name("S"))
@@ -256,6 +270,42 @@ class TestAccelerationStructure:
         assert chk.push(parse_tree("b(a)", sig)).admitted
         assert chk.push(parse_tree("c(a,a)", sig)).admitted  # bigger, bag unrelated
         assert chk.push(parse_tree("c(b(a),a)", sig)).whistled
+
+
+def test_pushes_of_parsed_trees_build_no_node(monkeypatch, sig):
+    """No push under any of the 27 named orders builds a node of a parsed
+    tree, and `Tree` keeps the attribute access these pushes rely on.
+
+    Each guard stands for a design measured slower in a benchmark run:
+    - a push that reads children: lazy children with a node-walking `H`
+      made `H` pushes 36 % slower and `YZH` pushes 14 % slower online;
+    - `Tree.__getattr__` for lazy children: `whistle-antichain` throughput
+      fell 10-13 % and `census` 4-11 %, since a class that defines it
+      loses the interpreter's specialized attribute loads;
+    - `children` as a property of `Tree` over another slot: `census` fell
+      6 % (its `H` table 1278 -> 1472 us a corpus, `E` 912 -> 1172 us).
+    """
+    stream = [render_tree(t) for t in random_stream(sig, 77, 200)]
+
+    def refuse(*args):
+        raise AssertionError("a push built nodes of a parsed tree")
+
+    monkeypatch.setattr(signature, "_build", refuse)
+    comparisons = 0
+    for spec in all_named_specs():
+        chk = SequenceChecker(spec)
+        for line in stream:
+            if chk.push(parse_tree(line, sig)).whistled:
+                comparisons += chk.comparisons
+                chk.reset()
+        comparisons += chk.comparisons
+    assert comparisons > 0
+    with pytest.raises(AssertionError, match="built nodes"):
+        parse_tree("b(a)", sig).children
+    for cls in (Tree, type(parse_tree("a", sig))):
+        assert "__getattr__" not in dir(cls)
+        assert cls.__getattribute__ is object.__getattribute__
+    assert isinstance(Tree.__dict__["children"], MemberDescriptorType)
 
 
 def doubling_stream(sig, depth=10):
