@@ -2,22 +2,42 @@
 
 The census counts, for each order, the ordered pairs (s, t) of a corpus
 (diagonal included) with s related to t.  Every base letter the specs
-name is decided on every ordered pair: the key orders Z and Y compare one
-key per tree, B compares one array of the trees' bags with itself,
-homeomorphic embedding (H) reads one bottom-up table, and the other
-letters run their pairwise decision procedures.  Combined orders are
-conjunctions of their component matrices, which is their definition.
+name is decided on every ordered pair, and none by a pairwise kernel:
+the key orders Z and Y compare one key per tree, B compares one array of
+the trees' bags with itself, S, M and H read one numbering of the
+corpus's distinct subtrees, and P and E decide a whole column of pairs
+per scan.  Combined orders are conjunctions of their component matrices,
+which is their definition.
 
-The H table numbers the corpus's distinct subtrees by the key
-(root, *child numbers): a embeds in b iff the roots are equal and each
-child of a embeds in the same child of b (coupling), or a embeds in some
-child of b (diving) (Kilpeläinen & Mannila, "Ordered and unordered tree
-inclusion", 1995).  Renumbered by height, each height is one block of
-rows that reads only rows and columns below it, filled in place by a few
-numpy operations; number 0 is a pad of height -1 for a missing child,
-which embeds only in itself.  The table takes D*D bools for D distinct
-subtrees, about 5 000 (25 MB) for the command line's default 400 trees.
-It numbers subtrees by root index, so a corpus must use one signature.
+The numbering gives every distinct subtree one number by the key
+(root, *child numbers), made at most once per census call, so two trees
+are equal iff their numbers are.  S is then a strict `<` of the sizes
+OR'd with equal numbers, and M is that S AND Z, its definition.
+
+H fills one table over the numbered subtrees: a embeds in b iff the roots
+are equal and each child of a embeds in the same child of b (coupling),
+or a embeds in some child of b (diving) (Kilpeläinen & Mannila, "Ordered
+and unordered tree inclusion", 1995).  Renumbered by height, each height
+is one block of rows that reads only rows and columns below it, filled
+in place by a few numpy operations; number 0 is a pad of height -1 for a
+missing child, which embeds only in itself.  The table takes D*D bools
+for D distinct subtrees, about 5 000 (25 MB) for the command line's
+default 400 trees.  It numbers subtrees by root index, so a corpus must
+use one signature.
+
+P and E run the greedy subsequence scan bit-parallel, after Shift-And
+(Baeza-Yates & Gonnet, "A new approach to text searching", CACM 1992),
+with one Python int as the bit vector.  Each left string s owns a field
+of len(s) + 1 bits, the shortest strings lowest, and one set bit per
+field marks how much of s is matched.  For each symbol x of a right
+string w, `state += state & masks[x]` moves up one place the bit of
+every field whose next symbol is x; masks[x] holds the positions of x in
+all left strings and never a field's last bit, so a finished field
+stays put and no field carries into the next.  s is a subsequence of w
+iff its field's last bit is set after the scan, exactly the verdict of
+`orders.is_subsequence`.  A scan starts only the fields no longer than
+w, so its ints stay short, and the final states are read a bounded
+number of bytes at a time.
 
 The audit then checks, on the raw pair sets rather than the counts:
 
@@ -28,22 +48,25 @@ The audit then checks, on the raw pair sets rather than the counts:
     some pair separates the two orders; a missing separating pair is
     reported as unverified, not as a failure.
 
-Since every letter is decided on its own, each of the 188 implications
-compares independently decided matrices.  One product of the 27
-flattened matrices counts, for every two orders, the pairs related under
-one and not the other, exactly: in float32 while n*n < 2**24, else float64.
+Since M is built as Z AND S, the M=ZS identity holds by construction and
+checks only the conjunctions; `rel_sized_set` is checked against the M
+matrix by the tests and by the benchmark's reference verdicts.  Every
+other letter is decided on its own, so the other implications compare
+independently decided matrices.  One product of the 27 flattened
+matrices counts, for every two orders, the pairs related under one and
+not the other, exactly: in float32 while n*n < 2**24, else float64.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .generate import GeneratorConfig
-from .orders import (KEY_LETTERS, WqoSpec, all_named_specs, base_relation,
-                     named_implications, partition_key)
+from .orders import KEY_LETTERS, WqoSpec, all_named_specs, named_implications, partition_key
 from .signature import Tree
 
 __all__ = ["CensusResult", "census", "AuditReport", "hierarchy_audit", "write_census_tsv"]
@@ -63,8 +86,10 @@ class CensusResult:
         return sorted(self.counts.items(), key=lambda kv: (kv[1], kv[0]))
 
 
-def _embedding_matrix(corpus: list[Tree]) -> np.ndarray:
-    """The H matrix from one table over the corpus's distinct subtrees, by height blocks."""
+def _number_subtrees(corpus: list[Tree]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Number the corpus's distinct subtrees exactly, by the key (root,
+    *child numbers): the keys in number order, their heights, and the
+    numbers of the corpus trees, equal iff the trees are equal."""
     number: dict[tuple[int, ...], int] = {(-1,): 0}  # (root, *child numbers) -> number; 0 pads
     height = [-1]
     # every node after its parent, and a node's children side by side
@@ -80,27 +105,80 @@ def _embedding_matrix(corpus: list[Tree]) -> np.ndarray:
         b = numbered[k] = number.setdefault(key, len(number))
         if b == len(height):
             height.append(1 + max([height[c] for c in key[1:]], default=-1))
-    width = max(map(len, number))
-    table = np.array([key + (0,) * (width - len(key)) for key in number], dtype=np.intp)
+    return list(number), height, numbered[:len(corpus)]
+
+
+def _embedding_matrix(keys: list[tuple[int, ...]], height: list[int], ids: list[int]) -> np.ndarray:
+    """The H matrix from one table over the numbered subtrees, by height blocks."""
+    width = max(map(len, keys))
+    table = np.array([key + (0,) * (width - len(key)) for key in keys], dtype=np.intp)
     # renumber by height: each height is then one block of rows
     order = np.argsort(height, kind="stable")
     rank = np.argsort(order)
     roots, kids = table[order, 0], rank[table[order, 1:]]
     edges = np.searchsorted(np.sort(height), np.arange(max(height) + 2)).tolist()
+    slots = np.arange(width - 1)[:, None]
     below = np.zeros((len(order), len(order)), dtype=bool)  # below[b, a]: a embeds in b
     below[0, 0] = True  # the pad embeds only in itself
     for lo, hi in zip(edges, edges[1:]):
         block = below[lo:hi, :hi]
         np.equal(roots[lo:hi, None], roots[:hi], out=block)
         rows = below[kids[lo:hi], :hi]  # rows[b, i]: the row of b's child i
-        for i in range(width - 1):
-            block &= rows[:, i, kids[:hi, i]]
+        # rows[b, i, kids[a, i]]: child i of a embeds in child i of b
+        block &= rows[:, slots, kids[:hi].T].all(1)
         block |= rows.any(1)
-    ids = rank[numbered[:len(corpus)]]
+    ids = rank[ids]
     return below[np.ix_(ids, ids)].T
 
 
-def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarray:
+# a scan's final states are read this many bytes at a time, not n at once
+_SCAN_BYTES = 1 << 20
+
+
+def _bits(where: np.ndarray) -> int:
+    """The bools as one int, where[i] its bit i."""
+    return int.from_bytes(np.packbits(where, bitorder="little").tobytes(), "little")
+
+
+def _subsequence_matrix(strings: list[tuple[int, ...]]) -> np.ndarray:
+    """m[i, j]: strings[i] is a subsequence of strings[j], for strings of
+    small non-negative ints such as traversal codes; one greedy scan of
+    each right string decides it against every left string at once (see
+    the module docstring)."""
+    n = len(strings)
+    lengths = np.fromiter(map(len, strings), np.intp, n)
+    order = np.argsort(lengths, kind="stable")
+    # the p-th shortest string owns the field of bits firsts[p] .. lasts[p]
+    lasts = np.cumsum(lengths[order] + 1) - 1
+    firsts = lasts - lengths[order]
+    total = n + int(lengths.sum())
+    codes = np.full(total, -1, dtype=np.intp)  # no mask covers a field's last bit
+    inside = np.ones(total, dtype=bool)
+    inside[lasts] = False
+    codes[inside] = np.fromiter(chain.from_iterable([strings[p] for p in order]), np.intp, total - n)
+    masks = {x: _bits(codes == x) for x in np.flatnonzero(np.bincount(codes[inside])).tolist()}
+    starts = _bits(~inside) << 1 | 1  # a field starts above the last bit of the one before
+    # a right string starts only the fields no longer than itself, the bits below its ceiling
+    ceilings = np.append(firsts, total)[np.searchsorted(lengths[order], lengths, "right")]
+    width = (total + 7) // 8  # the bytes of a state
+
+    def scan(w: tuple[int, ...], ceiling: int) -> bytes:
+        state = starts & (1 << ceiling) - 1
+        for mask in map(masks.__getitem__, w):
+            state += state & mask  # a field whose next symbol this is moves up one bit
+        return state.to_bytes(width, "little")
+
+    found = np.empty((n, n), dtype=bool)  # found[p, j]: the p-th shortest string is in strings[j]
+    step = max(1, _SCAN_BYTES // max(width, 1))
+    for lo in range(0, n, step):
+        states = b"".join(map(scan, strings[lo:lo + step], ceilings[lo:lo + step].tolist()))
+        states = np.frombuffer(states, np.uint8).reshape(-1, width)
+        found[:, lo:lo + step] = (states[:, lasts >> 3] >> (lasts & 7) & 1).T
+    return found[np.argsort(order)]
+
+
+def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int,
+                 subtrees: tuple[list[tuple[int, ...]], list[int], list[int]] | None) -> np.ndarray:
     if letter in KEY_LETTERS:
         # related iff equal keys: number the distinct keys, compare the numbers
         key = partition_key(letter, y_threshold)
@@ -108,14 +186,20 @@ def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarra
         ids = np.array([number.setdefault(key(t), len(number)) for t in corpus], dtype=np.intp)
         return ids[:, None] == ids[None, :]
     if letter == "H":
-        return _embedding_matrix(corpus)
+        return _embedding_matrix(*subtrees)
+    if letter == "S":
+        # strictly smaller, or equal: equal trees are those with one subtree number
+        sizes = np.array([t.size for t in corpus], dtype=np.int64)
+        ids = np.array(subtrees[2], dtype=np.intp)
+        return (sizes[:, None] < sizes[None, :]) | (ids[:, None] == ids[None, :])
+    if letter == "P":
+        return _subsequence_matrix([t.pre for t in corpus])
+    if letter == "E":
+        return _subsequence_matrix([t.eul for t in corpus])
+    # B: a sub-multiset, no constructor count above the other's
     n = len(corpus)
-    if letter == "B":
-        # a sub-multiset: no constructor count above the other's
-        bags = np.array([t.bag for t in corpus], dtype=np.int64).reshape(n, -1 if n else 0)
-        return (bags[:, None] <= bags[None]).all(-1)
-    check = base_relation(letter, y_threshold)
-    return np.array([[check(s, t) for t in corpus] for s in corpus], dtype=bool).reshape(n, n)
+    bags = np.array([t.bag for t in corpus], dtype=np.int64).reshape(n, -1 if n else 0)
+    return (bags[:, None] <= bags[None]).all(-1)
 
 
 def census(
@@ -140,7 +224,11 @@ def census(
 
     # expanded: Z and S back the audit's identity checks even when only M is named
     letters = sorted({l for s in specs for l in s.components | s.expanded})
-    base = {l: _base_matrix(l, corpus, y_threshold) for l in letters}
+    # one numbering serves S, M (through S) and H
+    subtrees = None if {"S", "H"}.isdisjoint(letters) else _number_subtrees(corpus)
+    base = {l: _base_matrix(l, corpus, y_threshold, subtrees) for l in letters if l != "M"}
+    if "M" in letters:
+        base["M"] = base["Z"] & base["S"]  # its definition, so M=ZS holds by construction
 
     counts: dict[str, int] = {}
     matrices: dict[str, np.ndarray] = {}
@@ -210,9 +298,9 @@ class AuditReport:
 def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> AuditReport:
     """Audit a census over all named orders; see the module docstring.
 
-    Every base letter is decided on every pair, so each implication
-    compares matrices that were decided independently; one product of
-    the flattened matrices counts the pairs that separate any two orders.
+    Every base letter is decided on every pair, M as Z AND S and the
+    others each on its own; one product of the flattened matrices counts
+    the pairs that separate any two orders.
 
     If the result lacks a named order's matrix (a partial census), the
     corpus is required so they can be recomputed.

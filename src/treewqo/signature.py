@@ -9,12 +9,12 @@ A tree has one of two backings and one identity.  A node-backed tree,
 built by `Tree()`, the generator or `monotone_stream` (the last two
 through `_build`), holds its children and makes its codes on first use.
 A parsed tree holds its scaled preorder codes and builds its children
-once, on first access, through `_build`; no push of a named order reads
-them.  Each root eagerly carries size, packed constructor bag and
-structural hash: `_fill` defines them for nodes, and `parse_tree`
-computes the same three in its one pass.  Only `Tree()` checks arity and
-signature.  One `_build` call shares one leaf per nullary constructor,
-and no node outlives its call in any cache.
+once, on first access, through `_build`; no push of a named order and
+no rendering reads them.  Each root eagerly carries size, packed
+constructor bag and structural hash: `_fill` defines them for nodes, and
+`parse_tree` computes the same three in its one pass.  Only `Tree()`
+checks arity and signature.  One `_build` call shares one leaf per
+nullary constructor, and no node outlives its call in any cache.
 
 The packed bag is one int holding a 32-bit field per constructor: the
 count of constructor i sits in bits 32*i .. 32*i + 30, and bit 32*i + 31,
@@ -705,23 +705,28 @@ def parse_tree(text: str, sig: Signature) -> Tree:
 
 
 def render_tree(t: Tree) -> str:
-    """Canonical text form; parse_tree(render_tree(t)) == t."""
-    names = t.sig.names
+    """Canonical text form; parse_tree(render_tree(t)) == t.  Read off the
+    preorder codes with a stack of the children each open term still
+    lacks, so rendering a parsed tree builds no node."""
+    sig = t.sig
+    names, stride, code_arity = sig.names, sig.sym_stride, sig._code_arity
     out = []
-    stack: list[object] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+    lacking: list[int] = []
+    for c in t.pre:
+        out.append(names[c // stride])
+        arity = code_arity[c]
+        if arity:
+            out.append("(")
+            lacking.append(arity)
             continue
-        out.append(names[item.root])
-        if item.children:
-            stack.append(")")
-            for ch in reversed(item.children[1:]):
-                stack.append(ch)
-                stack.append(",")
-            stack.append(item.children[0])
-            stack.append("(")
+        # a leaf closes every open term it completes
+        while lacking:
+            lacking[-1] -= 1
+            if lacking[-1]:
+                out.append(",")
+                break
+            lacking.pop()
+            out.append(")")
     return "".join(out)
 
 

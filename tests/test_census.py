@@ -1,4 +1,6 @@
 import io
+import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -23,13 +25,20 @@ from treewqo import (
     rel,
     rel_repeated,
     rel_set,
+    rel_size,
+    rel_sized_set,
     render_tree,
     write_census_tsv,
 )
+import treewqo
+from treewqo import orders
+from treewqo.census import _subsequence_matrix
 from treewqo.orders import named_implications
 
 from .oracles import dp_is_subsequence, naive_embeds
-from .strategies import trees_over
+from .strategies import symbol_strings, trees_over
+
+CENSUS = sys.modules["treewqo.census"]  # the package's `census` is the function
 
 
 @pytest.fixture(scope="module")
@@ -132,16 +141,126 @@ def test_key_matrices_match_pairwise_relations(small_corpus, k):
     assert base["Y"].tolist() == [[rel_repeated(s, t, k) for t in corpus] for s in corpus]
 
 
+# two constructors of every arity, so that trees of one shape differ in labels
+TWINS = Signature([("a", 0), ("e", 0), ("b", 1), ("f", 1), ("c", 2), ("g", 2)])
+
+# trees of equal size, equal shape or equal labels, one of them twice
+TWIN_TEXTS = ["c(b(a),a)", "c(a,b(a))", "g(b(a),a)", "c(f(a),a)", "c(b(e),a)",
+              "c(b(a),e)", "b(b(b(a)))", "f(c(a,a))", "c(b(a),a)"]
+
+
+def _size_corpora(corpus):
+    """The small corpus, the equal-size twins, and a corpus that holds one
+    tree twice, once node-backed and once parsed."""
+    twice = corpus[:12] + [parse_tree(render_tree(corpus[5]), corpus[5].sig)]
+    assert twice[5] == twice[-1] and type(twice[5]) is not type(twice[-1])
+    return {"small": corpus, "twins": [parse_tree(x, TWINS) for x in TWIN_TEXTS],
+            "twice": twice}
+
+
+@pytest.mark.parametrize("name", ["small", "twins", "twice"])
+def test_size_matrices_match_pairwise_relations(small_corpus, name):
+    # S and M come from the subtree numbering and the Z key, so the audit's
+    # M=ZS identity holds by construction; here every entry meets its kernel
+    corpus = _size_corpora(small_corpus[0])[name]
+    base = census(corpus, [parse_wqo_name("M")]).base_matrices
+    assert base["S"].tolist() == [[rel_size(s, t) for t in corpus] for s in corpus]
+    assert base["M"].tolist() == [[rel_sized_set(s, t) for t in corpus] for s in corpus]
+
+
+def test_census_makes_no_pairwise_call(monkeypatch, small_corpus):
+    """A census of all 27 orders and its audit decide every letter without
+    a pairwise kernel, with the same matrices and report as unguarded.
+
+    Each guard stands for a per-corpus cost measured on the benchmark's
+    24-tree census corpora (CPU time, best of 5, strings already made):
+    - `is_subsequence`, `rel_preorder`, `rel_euler`: 576 greedy scans a
+      letter took `P` 394 us and `E` 639 us, against 192 and 361 us for
+      one bit-parallel scan per right string;
+    - `rel_size`, `rel_sized_set`: 576 calls each took `S` 139 us and
+      `M` 335 us, `M` recomputing both trees' supports on every smaller
+      pair; the subtree numbering that `H` makes anyway decides both.
+    """
+    corpus = small_corpus[0]
+    expected = census(corpus)
+    expected_report = hierarchy_audit(expected, corpus)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census called a pairwise kernel")
+
+    names = ("rel_size", "rel_sized_set", "rel_preorder", "rel_euler", "is_subsequence")
+    for module in (orders, CENSUS, treewqo):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(orders, "_BASE_RELS", {})
+    result = census(corpus)
+    for got, want in ((result.base_matrices, expected.base_matrices),
+                      (result.matrices, expected.matrices)):
+        assert got.keys() == want.keys()
+        assert all((got[k] == want[k]).all() for k in want)
+    assert result.counts == expected.counts
+    assert hierarchy_audit(result, corpus) == expected_report
+
+
+class TestSubsequenceMatrix:
+    """The P and E columns of one bit-parallel scan against the table-filling
+    reference, pair by pair."""
+
+    @staticmethod
+    def _check(strings, got):
+        assert got.dtype == bool and got.shape == (len(strings), len(strings))
+        assert got.tolist() == [[dp_is_subsequence(v, w) for w in strings] for v in strings]
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_matches_reference(self, data):
+        strings = data.draw(st.lists(symbol_strings(max_len=12, alphabet=4), max_size=10))
+        # a symbol of one string only, and a string twice
+        for i in data.draw(st.sets(st.integers(0, 9))):
+            if i < len(strings):
+                at = data.draw(st.integers(0, len(strings[i])))
+                strings[i] = strings[i][:at] + (100 + i,) + strings[i][at:]
+        if strings and data.draw(st.booleans()):
+            strings.append(strings[data.draw(st.integers(0, len(strings) - 1))])
+        self._check(strings, _subsequence_matrix(strings))
+
+    @pytest.mark.parametrize("strings", [[], [()], [(3, 1, 3)], [(), ()]],
+                             ids=["none", "empty", "one", "two-empty"])
+    def test_few_strings(self, strings):
+        self._check(strings, _subsequence_matrix(strings))
+
+    @pytest.mark.parametrize("rows", [None, 1, 2], ids=["all", "one", "two"])
+    def test_long_strings(self, monkeypatch, rows):
+        # fields of 5 000 bits and more straddle many 30-bit digits; the
+        # final states are read all at once, or one or two at a time
+        rng = random.Random(5)
+        a = tuple(rng.randrange(4) for _ in range(5003))
+        b = a[:100] + a[101:2000] + a[2001:4000] + a[4001:]  # a less three symbols
+        c = b + (9,)  # 9 occurs nowhere in a
+        longs = [a, b, c]
+        shorts = [(), (9,), a[:7], a[-5:][::-1], (3, 3, 3, 3)]
+        strings = longs + shorts + [b]
+        if rows is not None:
+            width = (sum(map(len, strings)) + len(strings) + 7) // 8  # the bytes of a state
+            monkeypatch.setattr(CENSUS, "_SCAN_BYTES", rows * width)
+        got = _subsequence_matrix(strings).tolist()
+        # between long strings by construction: b is in a and is c's prefix
+        among = {(0, 0), (1, 0), (1, 1), (1, 2), (2, 2)}
+        for i, v in enumerate(strings):
+            for j, w in enumerate(strings):
+                if v in longs and w in longs:
+                    want = (longs.index(v), longs.index(w)) in among
+                else:
+                    want = dp_is_subsequence(v, w)
+                assert got[i][j] == want, (i, j)
+
+
 def test_m_only_census_keeps_its_expansion(small_corpus):
     # M alone still yields its expansion Z, S, which the audit's identities read
     corpus, _ = small_corpus
     base = census(corpus, [parse_wqo_name("M")]).base_matrices
     assert set(base) == {"M", "Z", "S"}
     assert (base["M"] == (base["Z"] & base["S"])).all()
-
-
-# two constructors of every arity, so that trees of one shape differ in labels
-TWINS = Signature([("a", 0), ("e", 0), ("b", 1), ("f", 1), ("c", 2), ("g", 2)])
 
 
 CHECKED = "SBPEH"
@@ -182,9 +301,7 @@ class TestSharedEmbeddingMemo:
             _assert_base_matches_naive(forest + duplicates + list(forest[0].nodes()))
 
     def test_h_matrix_on_equal_size_trees(self):
-        texts = ["c(b(a),a)", "c(a,b(a))", "g(b(a),a)", "c(f(a),a)", "c(b(e),a)",
-                 "c(b(a),e)", "b(b(b(a)))", "f(c(a,a))", "c(b(a),a)"]
-        _assert_base_matches_naive([parse_tree(x, TWINS) for x in texts])
+        _assert_base_matches_naive([parse_tree(x, TWINS) for x in TWIN_TEXTS])
 
     def test_deep_chains(self, sig):
         # too deep for the recursive reference: b^k(a) <= b^j(a) iff k <= j

@@ -27,6 +27,7 @@ from treewqo import (
     tree_hash,
 )
 
+from treewqo import signature
 from treewqo.signature import _build, _check_constructor, _offset, _tokens
 
 from .oracles import regex_is_name, regex_tokens
@@ -521,6 +522,24 @@ def test_tree_file_byte_order_mark_skipped(tmp_path, sig):
     # written back as plain UTF-8, without the mark
     save_trees(path, ts)
     assert path.read_bytes() == b"b(a)\na\n"
+
+
+def test_rendering_parsed_trees_builds_no_node(monkeypatch, tmp_path, sig):
+    # render_tree, repr and save_trees read the preorder codes alone
+    n = 100_000
+    texts = ["a", "b(a)", "c(b(a),d(a,a,b(a)))", "d(c(a,a),b(b(a)),a)",
+             "b(" * n + "a" + ")" * n]
+    trees = [parse_tree(x, sig) for x in texts]
+
+    def refuse(*args):
+        raise AssertionError("rendering built nodes of a parsed tree")
+
+    monkeypatch.setattr(signature, "_build", refuse)
+    assert [render_tree(t) for t in trees] == texts
+    assert [repr(t) for t in trees] == [f"Tree({x})" for x in texts]
+    path = tmp_path / "trees.txt"
+    save_trees(path, trees)
+    assert path.read_text(encoding="utf-8").splitlines() == texts
 
 
 def test_deep_tree_no_recursion_limit(sig):
