@@ -21,7 +21,8 @@ inverse CDF in signature order.  A draw is the list of its constructor
 indices in preorder.  A draw that would exceed `size_cap` is abandoned at
 the pick that would exceed it, which is never drawn, and redrawn from
 scratch (the already-consumed randomness is not rewound, keeping the
-sequence deterministic).  Only accepted draws are built into trees.
+sequence deterministic).  Only accepted draws are built into trees, and
+in a distinct corpus only the first draw of each tree.
 """
 
 from __future__ import annotations
@@ -107,41 +108,40 @@ class GeneratorConfig:
 _RETRY_LIMIT = 1_000_000
 
 
-def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> list[int] | None:
-    """One draw's constructor indices in preorder, or None at the pick that
-    would exceed the size cap; that pick consumes no randomness."""
+def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> list[int]:
+    """One accepted draw's constructor indices in preorder.  A draw is
+    abandoned at the pick that would exceed the size cap, which consumes
+    no randomness, and redrawn from scratch, up to the retry limit."""
     cdf = list(accumulate(cfg.signature.probabilities))
     last = len(cdf) - 1
     arities = cfg.signature.arities
     cap = cfg.size_cap
-    roots: list[int] = []
-    open_slots = 1
-    while open_slots:
-        if len(roots) == cap:
-            return None
-        # clamped against rounding of the last sum below 1
-        root = min(bisect_right(cdf, rng.next_float()), last)
-        roots.append(root)
-        open_slots += arities[root] - 1
-    return roots
+    for _ in range(_RETRY_LIMIT):
+        roots: list[int] = []
+        open_slots = 1
+        while open_slots and len(roots) < cap:
+            # clamped against rounding of the last sum below 1
+            root = min(bisect_right(cdf, rng.next_float()), last)
+            roots.append(root)
+            open_slots += arities[root] - 1
+        if not open_slots:
+            return roots
+    raise RuntimeError(f"gave up after {_RETRY_LIMIT} oversize draws (cap {cfg.size_cap})")
 
 
 def random_tree(cfg: GeneratorConfig, rng: SplitMix64) -> Tree:
     """One tree from the configured distribution; oversize draws are
     resampled from scratch, up to the retry limit."""
-    for _ in range(_RETRY_LIMIT):
-        roots = _draw(cfg, rng)
-        if roots is not None:
-            return _build(cfg.signature, roots)
-    raise RuntimeError(f"gave up after {_RETRY_LIMIT} oversize draws (cap {cfg.size_cap})")
+    return _build(cfg.signature, _draw(cfg, rng))
 
 
 def generate_corpus(cfg: GeneratorConfig) -> list[Tree]:
     """`corpus_size` trees in draw order, pairwise distinct when
-    `cfg.distinct`, deterministic in the seed."""
+    `cfg.distinct`, deterministic in the seed.  Duplicates are told apart
+    by their constructor indices in preorder, before any tree is built."""
     rng = SplitMix64(cfg.seed)
     corpus: list[Tree] = []
-    seen: set[Tree] = set()
+    seen: set[tuple[int, ...]] = set()
     attempts = 0
     while len(corpus) < cfg.corpus_size:
         attempts += 1
@@ -149,12 +149,13 @@ def generate_corpus(cfg: GeneratorConfig) -> list[Tree]:
             raise RuntimeError(
                 f"could not draw {cfg.corpus_size} distinct trees in {_RETRY_LIMIT} attempts"
             )
-        t = random_tree(cfg, rng)
+        roots = _draw(cfg, rng)
         if cfg.distinct:
-            if t in seen:
+            drawn = tuple(roots)
+            if drawn in seen:
                 continue
-            seen.add(t)
-        corpus.append(t)
+            seen.add(drawn)
+        corpus.append(_build(cfg.signature, roots))
     return corpus
 
 

@@ -5,16 +5,18 @@ A Signature is a finite alphabet of constructors, each with a fixed arity
 generator).  A Tree is a finite term over one signature; the number of
 children of every node must equal its constructor's declared arity.
 
-A tree has one of two backings and one identity.  A node-backed tree,
-built by `Tree()`, the generator or `monotone_stream` (the last two
-through `_build`), holds its children and makes its codes on first use.
-A parsed tree holds its scaled preorder codes and builds its children
-once, on first access, through `_build`; no push of a named order and
-no rendering reads them.  Each root eagerly carries size, packed
-constructor bag and structural hash: `_fill` defines them for nodes, and
-`parse_tree` computes the same three in its one pass.  Only `Tree()`
-checks arity and signature.  One `_build` call shares one leaf per
-nullary constructor, and no node outlives its call in any cache.
+A tree has one of two backings and one identity, its preorder codes.  A
+node-backed tree, built by `Tree()`, the generator or `monotone_stream`
+(the last two through `_build`), holds its children and makes its codes
+on first use.  A parsed tree holds its scaled preorder codes and builds
+its children once, on first access, through `_build`; no push of a named
+order and no rendering reads them.  Each root eagerly carries size and
+packed constructor bag: `_fill` defines them for nodes, and `parse_tree`
+computes the same two in its one pass.  A tree hashes as its codes and
+equal trees have equal codes, so a node-backed tree walks its nodes only
+when something hashes or compares it.  Only `Tree()` checks arity and
+signature.  One `_build` call shares one leaf per nullary constructor,
+and no node outlives its call in any cache.
 
 The packed bag is one int holding a 32-bit field per constructor: the
 count of constructor i sits in bits 32*i .. 32*i + 30, and bit 32*i + 31,
@@ -44,17 +46,18 @@ preorder string is then exactly the subsequence of the Euler string formed
 by the visit-0 symbols.  Arities are fixed, so equal `pre` means equal
 trees over one signature.
 
-The structural hash is Python's tuple hash of the root index and the
-children's hashes.  Int and tuple hashes are not salted, so it is stable
-across processes, but not across Python versions or platforms: it only
-serves in-memory dicts, sets and the `tree_equal` guard and must never be
-persisted.  Reproducible corpora rest on `generate.SplitMix64` instead.
+A tree's hash is Python's hash of its `pre` tuple.  Int and tuple hashes
+are not salted, so it is stable across processes, but not across Python
+versions or platforms: it only serves in-memory dicts and sets and must
+never be persisted.  Reproducible corpora rest on `generate.SplitMix64`
+instead.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import accumulate
+from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -260,17 +263,16 @@ class Tree:
 
     `root` is the constructor index; `children` Trees, kept as a tuple.
     The constructor validates the root index, the child count and the
-    children's type and signature, then computes size, packed bag and
-    structural hash in O(arity) from the children's measures; it refuses
-    a tree of 2**31 nodes or more, whose counts would not fit their
-    fields.  Such a tree is node-backed: `children` is its primary data
-    and `pre` is walked on first use.  `parse_tree` returns a tree backed
+    children's type and signature, then computes size and packed bag in
+    O(arity) from the children's measures; it refuses a tree of 2**31
+    nodes or more, whose counts would not fit their fields.  Such a tree
+    is node-backed: `children` is its primary data and `pre` is walked on
+    first use, such as its first hash.  `parse_tree` returns a tree backed
     by its preorder codes instead (see the module docstring); the two
     backings hash and compare alike.
     """
 
-    __slots__ = ("sig", "root", "children", "size", "packed_bag", "struct_hash",
-                 "_pre", "_eul", "_spans")
+    __slots__ = ("sig", "root", "children", "size", "packed_bag", "_pre", "_eul", "_spans")
 
     def __init__(self, sig: Signature, root: int, children: Iterable["Tree"] = ()):
         children = tuple(children)
@@ -298,7 +300,7 @@ class Tree:
         return self.sig.names[self.root]
 
     def __hash__(self) -> int:
-        return self.struct_hash
+        return hash(self.pre)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
@@ -398,24 +400,21 @@ class _ParsedTree(Tree):
 def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tree:
     """Set every field of the node `t` and return it, checking nothing.
 
-    The one definition of the eager measures of a node: size, packed bag
-    and structural hash, each from the children's in O(arity).  `Tree()`
-    calls it before its size check and `_build` on `_new_tree(Tree)`,
-    having matched arity and signature itself.
+    The one definition of the eager measures of a node: size and packed
+    bag, each from the children's in O(arity).  `Tree()` calls it before
+    its size check and `_build` on `_new_tree(Tree)`, having matched arity
+    and signature itself.
     """
     t.sig = sig
     t.root = root
     t.children = children
     n = 1
     bag = sig.bag_units[root]
-    hashes = [root]
     for ch in children:
         n += ch.size
         bag += ch.packed_bag
-        hashes.append(ch.struct_hash)
     t.size = n
     t.packed_bag = bag
-    t.struct_hash = hash(tuple(hashes))
     t._pre = t._eul = t._spans = None
     return t
 
@@ -581,19 +580,19 @@ def euler_traversal(t: Tree) -> tuple[TraversalSymbol, ...]:
 
 
 def tree_hash(t: Tree) -> int:
-    """Structural hash, computed bottom-up at construction as Python's tuple
-    hash of the root and the children's hashes.  Equal trees hash equal;
-    collisions are resolved by tree_equal.  Stable across processes but not
-    across Python versions or platforms, so never persist it."""
-    return t.struct_hash
+    """The hash of t's preorder codes, read off a parsed tree and walked
+    once over a node-backed one.  Equal trees hash equal; collisions are
+    resolved by tree_equal.  Stable across processes but not across Python
+    versions or platforms, so never persist it."""
+    return hash(t.pre)
 
 
 def tree_equal(t: Tree, u: Tree) -> bool:
-    """Structural equality: hash, size and signature first, then the
-    preorder codes, which determine a tree (any backing, iterative)."""
+    """Structural equality: packed bag (so size) and signature first, then
+    the preorder codes, which determine a tree (any backing, iterative)."""
     if t is u:
         return True
-    if t.struct_hash != u.struct_hash or t.size != u.size or t.sig != u.sig:
+    if t.packed_bag != u.packed_bag or t.sig != u.sig:
         return False
     return t.pre == u.pre
 
@@ -629,21 +628,33 @@ def _arity_mismatch(sig: Signature, cidx: int, got: int) -> str:
     return f"arity mismatch for {sig.names[cidx]!r}: expected {sig.arities[cidx]}, got {got}"
 
 
+def _opening_name(toks: list[str], at: int) -> int:
+    """The index of the name whose "(" the ")" at toks[at] closes."""
+    depth = 0
+    while True:
+        depth += (toks[at] == ")") - (toks[at] == "(")
+        if not depth:
+            return at - 1
+        at -= 1
+
+
 def parse_tree(text: str, sig: Signature) -> Tree:
     """Parse one term; whitespace is insignificant.
 
     Raises ParseError for unknown constructors, arity mismatches (with the
     offending constructor's position) and malformed syntax.  The text is
     split into tokens by `str` builtins (see `_tokens`) and the parser
-    counts positions in tokens; only an error turns its token index into
-    a character offset, by walking the same token list (`_offset`).
+    tracks no position: only an error takes its token index from the
+    iterator's remaining length, finds the constructor of a term closed
+    with too few or too many children by a backward scan for its "(", and
+    turns the index into a character offset (`_offset`).
 
     The parser checks every name, delimiter and arity itself and builds
     no node.  It returns a tree backed by its scaled preorder codes, with
-    size, packed bag and the nested structural hash computed in the same
-    pass, so it hashes and compares equal to the same tree built by
-    `Tree()`.  Its children are built on first access, sharing one leaf
-    per nullary constructor; two parses share no node.
+    size and packed bag computed in the same pass, so it hashes and
+    compares equal to the same tree built by `Tree()`.  Its children are
+    built on first access, sharing one leaf per nullary constructor; two
+    parses share no node.
     """
     index = sig._index
     arities = sig.arities
@@ -651,12 +662,11 @@ def parse_tree(text: str, sig: Signature) -> Tree:
     units = sig.bag_units
     codes: list[int] = []  # the scaled preorder codes
     bag = 0
-    frames: list[tuple[int, list[int]]] = []  # open terms: (name token, [constructor, child hashes])
-    error = None
-    # positions are token indices until an error needs the character offset
+    lacking: list[int] = []  # the children each open term still lacks
+    error = at = None
     toks = _tokens(text)
-    tokens = enumerate(toks)
-    for at, tok in tokens:  # a name must come here
+    tokens = iter(toks)
+    for tok in tokens:  # a name must come here
         cidx = index.get(tok)
         if cidx is None:
             error = ("unexpected end of input" if not tok
@@ -666,40 +676,41 @@ def parse_tree(text: str, sig: Signature) -> Tree:
         codes.append(cidx * stride)
         bag += units[cidx]
         # a name is never the last token, which is the "" end of input
-        name_at = at
-        at, tok = next(tokens)
+        tok = next(tokens)
         if tok == "(":
-            frames.append((name_at, [cidx]))
+            lacking.append(arities[cidx])
             continue
         if arities[cidx]:
-            error, at = _arity_mismatch(sig, cidx, 0), name_at
+            # reported at the name, the token before tok
+            error, at = _arity_mismatch(sig, cidx, 0), len(toks) - 2 - length_hint(tokens)
             break
-        h = hash((cidx,))
         # close terms until a "," asks for the next name
-        while frames:
-            frames[-1][1].append(h)
+        while lacking:
+            lacking[-1] -= 1
             if tok == ",":
                 break
             if tok != ")":
                 error = f"expected ',' or ')', found {tok!r}" if tok else "unexpected end of input"
                 break
-            name_at, hashes = frames.pop()
-            cidx = hashes[0]
-            if len(hashes) - 1 != arities[cidx]:
-                error, at = _arity_mismatch(sig, cidx, len(hashes) - 1), name_at
+            missing = lacking.pop()
+            if missing:
+                # reported at the name of the term tok closes
+                at = _opening_name(toks, len(toks) - 1 - length_hint(tokens))
+                cidx = index[toks[at]]
+                error = _arity_mismatch(sig, cidx, arities[cidx] - missing)
                 break
-            h = hash(tuple(hashes))
-            at, tok = next(tokens)
+            tok = next(tokens)
         else:
             if not tok:
                 t = _new_tree(_ParsedTree)
-                t.sig, t.root, t.size, t.packed_bag, t.struct_hash = (
-                    sig, codes[0] // stride, len(codes), bag, h)
+                t.sig, t.root, t.size, t.packed_bag = sig, codes[0] // stride, len(codes), bag
                 t._pre, t._eul, t._spans = tuple(codes), None, None
                 return t
             error = f"unexpected {tok!r} after term"
         if error is not None:
             break
+    if at is None:  # reported at tok
+        at = len(toks) - 1 - length_hint(tokens)
     at = _offset(text, toks, at)
     raise ParseError(f"{error} at position {at}", at)
 

@@ -13,8 +13,12 @@ admitted trees are partitioned by one int per tree that packs both keys
 alone implies `S` or `B`, and both bound size (a bag's total is the
 size), so s sits below t only if s is strictly smaller or shares what
 equal-size related trees share: the tree under `S`, else the bag under
-`B` (equal bags give equal keys), else the keys.  One table keyed by that
-value decides the equal case.  A partition keeps its members in
+`B` (equal bags give equal keys), else the keys.  One table keyed by the
+bag under `S` or `B`, else by the keys, holds the first admitted tree of
+each value and decides the equal case; under `S` a tree of a bag already
+in it is compared with that first tree, then looked up in a second table
+keyed by tree, which holds only the later trees of a seen bag.  So a
+stream of distinct bags hashes no tree.  A partition keeps its members in
 non-increasing size order beside a column of their negated sizes, so one
 `bisect_right` over the column finds both the candidates, the strictly
 smaller tail, and where t goes if admitted, after the trees of its size.
@@ -115,13 +119,11 @@ class SequenceChecker(_CheckerBase):
     def __init__(self, spec: WqoSpec):
         expanded = spec.expanded
         self._key = partition_key(expanded, spec.y_threshold)
-        # what a tree shares with every equal-size tree related to it
-        if implies(spec, WqoSpec(frozenset("S"))):
-            self._shared = lambda t, key: t
-        elif implies(spec, WqoSpec(frozenset("B"))):
-            self._shared = lambda t, key: t.packed_bag
-        else:
-            self._shared = lambda t, key: key
+        # what a tree shares with every equal-size tree related to it:
+        # itself under S, else its bag under B, else its keys; under S the
+        # table is keyed by the bag too, so only a seen bag hashes a tree
+        self._same_tree = implies(spec, WqoSpec(frozenset("S")))
+        self._by_bag = self._same_tree or implies(spec, WqoSpec(frozenset("B")))
         (letter,) = expanded - KEY_LETTERS - {"S"} or {None}
         self._related = base_relation(letter, spec.y_threshold) if letter else None
         super().__init__(spec)
@@ -130,7 +132,10 @@ class SequenceChecker(_CheckerBase):
         super().reset()
         # key -> (negated sizes ascending, the (pos, tree) members in that order)
         self._partitions: dict = {}
+        # the bag (else key) -> (pos, tree) of its first admitted tree
         self._seen: dict = {}
+        # under S: tree -> pos, for the later trees of a bag in _seen
+        self._later: dict = {}
 
     def push(self, t: Tree) -> PushOutcome:
         if t.sig is not self.sig:
@@ -138,10 +143,14 @@ class SequenceChecker(_CheckerBase):
         pos = self.position
         self.position = pos + 1
         key = self._key(t)
-        shared = self._shared(t, key)
-        dup = self._seen.get(shared)
-        if dup is not None:
-            return PushOutcome(pos, True, dup)
+        shared = t.packed_bag if self._by_bag else key
+        first = self._seen.get(shared)
+        if first is not None:
+            if not self._same_tree or first[1] == t:
+                return PushOutcome(pos, True, first[0])
+            dup = self._later.get(t)
+            if dup is not None:
+                return PushOutcome(pos, True, dup)
         part = self._partitions.get(key)
         if part is None:
             part = self._partitions[key] = ([], [])
@@ -159,7 +168,10 @@ class SequenceChecker(_CheckerBase):
                 return PushOutcome(pos, True, witness)
         sizes.insert(i, neg)
         members.insert(i, (pos, t))
-        self._seen[shared] = pos
+        if first is None:
+            self._seen[shared] = (pos, t)
+        else:
+            self._later[t] = pos
         self.admitted.append((pos, t))
         # the admit path's outcome without the named tuple's Python-level __new__
         return tuple.__new__(PushOutcome, (pos, False, None))

@@ -1,11 +1,13 @@
 """Independent reference implementations used only to cross-check the
 package: a table-filling subsequence decision, a direct, memo-free
 recursive embedding check, a node-counting constructor bag, recursive
-preorder and Euler traversals, a one-regex term tokenizer and a one-regex
-name check.  Kept deliberately naive."""
+preorder and Euler traversals, a one-regex term tokenizer, a one-regex
+name check and a recursive-descent term parser.  Kept deliberately naive."""
 
 import re
 from collections import Counter
+
+from treewqo import Tree
 
 # one term token per match; the empty match at the end stands for end of input
 _TERM_TOKEN = re.compile(r"[(),]|[^\s(),]+|\Z")
@@ -75,3 +77,52 @@ def regex_tokens(text: str) -> list[tuple[str, int]]:
 def regex_is_name(text: str) -> bool:
     """Whether text is exactly one name token."""
     return _NAME.fullmatch(text) is not None
+
+
+def naive_parse(text: str, sig):
+    """The tree that text denotes, built by `Tree()`, or the (message,
+    position) of the first error, by recursive descent over
+    `regex_tokens`.  Recursion is one frame per open term; use on small
+    inputs only."""
+    tokens = regex_tokens(text)
+    arity = {name: (i, a) for i, (name, a) in enumerate(zip(sig.names, sig.arities))}
+    at = 0
+
+    class Failed(Exception):
+        pass
+
+    def fail(message, where):
+        raise Failed(message, tokens[where][1])
+
+    def term():
+        nonlocal at
+        name_at, name = at, tokens[at][0]
+        if name not in arity:
+            fail("unexpected end of input" if not name
+                 else f"expected a constructor, found {name!r}" if name in "(),"
+                 else f"unknown constructor {name!r}", at)
+        root, expected = arity[name]
+        at += 1
+        children = []
+        if tokens[at][0] == "(":
+            at += 1
+            children.append(term())
+            while tokens[at][0] == ",":
+                at += 1
+                children.append(term())
+            if tokens[at][0] != ")":
+                fail(f"expected ',' or ')', found {tokens[at][0]!r}" if tokens[at][0]
+                     else "unexpected end of input", at)
+            at += 1
+        if len(children) != expected:
+            fail(f"arity mismatch for {name!r}: expected {expected}, got {len(children)}",
+                 name_at)
+        return Tree(sig, root, children)
+
+    try:
+        t = term()
+        if tokens[at][0]:
+            fail(f"unexpected {tokens[at][0]!r} after term", at)
+    except Failed as exc:
+        return exc.args
+    return t

@@ -30,7 +30,7 @@ from treewqo import (
 from treewqo import signature
 from treewqo.signature import _build, _check_constructor, _offset, _tokens
 
-from .oracles import regex_is_name, regex_tokens
+from .oracles import naive_parse, regex_is_name, regex_tokens
 from .strategies import MULTI_SIG, trees, trees_over
 
 
@@ -44,6 +44,32 @@ TOKENIZER_PIECES = (
 )
 
 TERM_TEXTS = st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=24).map("".join)
+
+# every character str.split splits on
+SPLIT_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if not c.split())
+
+
+@st.composite
+def mutated_terms(draw):
+    """(signature, text): a rendered tree with at most one token dropped,
+    duplicated, swapped or renamed to an unknown name, padded with
+    whitespace around every token."""
+    t = draw(st.one_of(trees(), trees_over(MULTI_SIG)))
+    toks = [tok for tok, _ in regex_tokens(render_tree(t))][:-1]
+    i, j = draw(st.integers(0, len(toks) - 1)), draw(st.integers(0, len(toks) - 1))
+    mutation = draw(st.sampled_from(["none", "drop", "duplicate", "swap", "unknown"]))
+    if mutation == "drop":
+        del toks[i]
+    elif mutation == "duplicate":
+        toks.insert(i, toks[i])
+    elif mutation == "swap":
+        toks[i], toks[j] = toks[j], toks[i]
+    elif mutation == "unknown":
+        names = [k for k, tok in enumerate(toks) if tok not in "(),"]
+        toks[draw(st.sampled_from(names))] = draw(st.sampled_from(["e", "x", "Nil", "a1"]))
+    pads = draw(st.lists(st.text(st.sampled_from(SPLIT_SPACES), max_size=2),
+                         min_size=len(toks) + 1, max_size=len(toks) + 1))
+    return t.sig, pads[0] + "".join(tok + pad for tok, pad in zip(toks, pads[1:]))
 
 
 def sym_str(ts):
@@ -147,6 +173,33 @@ class TestParsing:
         assert [_offset(text, tokens, at) for at in range(len(tokens))] == \
                [start for _, start in expected]
 
+    @given(case=mutated_terms())
+    @settings(max_examples=500)
+    def test_parse_matches_recursive_descent_oracle(self, case):
+        sig, text = case
+        expected = naive_parse(text, sig)
+        try:
+            t = parse_tree(text, sig)
+        except ParseError as exc:
+            assert isinstance(expected, tuple), f"only the oracle accepts {text!r}"
+            message, position = expected
+            assert str(exc) == f"{message} at position {position}"
+            assert exc.position == position
+        else:
+            assert isinstance(expected, Tree), f"only parse_tree accepts {text!r}"
+            assert t == expected and expected == t and t.pre == expected.pre
+
+    def test_deep_errors_without_recursion(self, sig):
+        n = 100_000
+        text = "b(" * n + "a" + ")" * (n - 1)
+        with pytest.raises(ParseError) as exc:
+            parse_tree(text, sig)
+        assert str(exc.value) == f"unexpected end of input at position {len(text)}"
+        # the term closed too early is found by a scan back over its subterm
+        with pytest.raises(ParseError) as exc:
+            parse_tree("c(" + text + "))", sig)
+        assert str(exc.value) == "arity mismatch for 'c': expected 2, got 1 at position 0"
+
     @given(t=trees())
     @settings(max_examples=200)
     def test_render_parse_round_trip(self, t):
@@ -167,8 +220,8 @@ class TestParsing:
         built, got = list(t.nodes()), list(parsed.nodes())
         assert len(got) == len(built)
         for a, b in zip(built, got):
-            assert (b.sig, b.root, b.size, constructor_set(b), b.struct_hash, b.bag, b.pre,
-                    b.eul) == (a.sig, a.root, a.size, constructor_set(a), a.struct_hash, a.bag,
+            assert (b.sig, b.root, b.size, constructor_set(b), hash(b), b.bag, b.pre,
+                    b.eul) == (a.sig, a.root, a.size, constructor_set(a), hash(a), a.bag,
                                a.pre, a.eul)
         leaves = {}
         for node in got:
@@ -237,8 +290,8 @@ class TestBuild:
         built = _build(sig, [c // sig.sym_stride for c in t.pre])
         assert built == t
         for a, b in zip(t.nodes(), built.nodes()):
-            assert (b.sig, b.root, b.size, b.bag, b.struct_hash) == (
-                a.sig, a.root, a.size, a.bag, a.struct_hash)
+            assert (b.sig, b.root, b.size, b.bag, hash(b)) == (
+                a.sig, a.root, a.size, a.bag, hash(a))
 
     @given(t=trees_over(MULTI_SIG))
     @settings(max_examples=100)
@@ -426,6 +479,19 @@ class TestMeasures:
             for seed in ("0", "12345")
         ]
         assert outputs[0] == outputs[1] != ""
+
+    def test_trees_of_one_bag_are_distinct(self, sig):
+        # one bag, three shapes: identity is the preorder codes, not the bag
+        texts = ["c(a,b(a))", "c(b(a),a)", "b(c(a,a))"]
+        parsed = [parse_tree(x, sig) for x in texts]
+        built = [Tree(sig, t.root, t.children) for t in parsed]
+        assert len({t.packed_bag for t in parsed + built}) == 1
+        for backing in (parsed, built):
+            assert all(s != t for k, s in enumerate(backing) for t in backing[k + 1:])
+            assert len(set(backing)) == 3
+        assert [hash(t) for t in parsed] == [hash(t) for t in built]
+        assert [tree_hash(t) for t in parsed] == [hash(t) for t in built]
+        assert set(parsed) == set(built)
 
     def test_tree_equal(self, sig, worked):
         a = parse_tree("a", sig)

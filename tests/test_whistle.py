@@ -26,6 +26,7 @@ from treewqo import (
 )
 from treewqo import signature
 from treewqo.orders import KEY_LETTERS
+from treewqo.signature import _build
 
 from .strategies import MULTI_SIG, trees, trees_over
 
@@ -113,6 +114,39 @@ class TestPushExamples:
                 chk = checker(parse_wqo_name("S"))
                 assert chk.push(first).admitted
                 assert chk.push(second) == (1, True, 0)
+
+    @pytest.mark.parametrize("checker", [SequenceChecker, NaiveChecker])
+    @pytest.mark.parametrize("name", ["S", "H", "M"])
+    @pytest.mark.parametrize("backing", ["parsed", "built"])
+    def test_trees_of_one_bag_are_told_apart(self, sig, checker, name, backing):
+        # one bag, three shapes, pairwise unrelated under each order
+        texts = ["c(a,b(a))", "c(b(a),a)", "b(c(a,a))"]
+        parsed = [parse_tree(x, sig) for x in texts]
+        built = [_build(sig, [c // sig.sym_stride for c in t.pre]) for t in parsed]
+        first, again = (parsed, built) if backing == "parsed" else (built, parsed)
+        chk = checker(parse_wqo_name(name))
+        assert all(o.admitted for o in push_all(chk, first))
+        assert push_all(chk, again[::-1]) == [(3, True, 2), (4, True, 1), (5, True, 0)]
+
+    @pytest.mark.parametrize("name", ["S", "H"])
+    def test_every_binary_tree_of_one_size_admitted(self, name):
+        # all 14 trees of size 9 over {a/0, f/2} share one bag
+        sig = Signature([("a", 0), ("f", 2)])
+
+        def shapes(internal):
+            if not internal:
+                yield [0]
+            for left in range(internal):
+                for lt in shapes(left):
+                    for rt in shapes(internal - 1 - left):
+                        yield [1] + lt + rt
+
+        built = [_build(sig, roots) for roots in shapes(4)]
+        assert len(built) == 14
+        stream = built + [parse_tree(render_tree(t), sig) for t in built]
+        fast = push_all(SequenceChecker(parse_wqo_name(name)), stream)
+        assert fast == push_all(NaiveChecker(parse_wqo_name(name)), stream)
+        assert [o.witness for o in fast] == [None] * 14 + list(range(14))
 
     def test_reset(self, sig):
         chk = SequenceChecker(parse_wqo_name("S"))
@@ -306,6 +340,17 @@ def test_pushes_of_parsed_trees_build_no_node(monkeypatch, sig):
         assert "__getattr__" not in dir(cls)
         assert cls.__getattribute__ is object.__getattribute__
     assert isinstance(Tree.__dict__["children"], MemberDescriptorType)
+
+
+def test_distinct_bags_hash_no_tree(sig):
+    # a node-backed tree makes its codes only when hashed or compared, and
+    # an admit-only stream of distinct bags needs neither
+    stream = monotone_stream(sig, 300, 20)
+    for name in ("SB", "H", "YZH"):
+        chk = SequenceChecker(parse_wqo_name(name))
+        assert all(o.admitted for o in push_all(chk, stream))
+        assert chk.comparisons == 0
+    assert all(t._pre is None for t in stream)
 
 
 def doubling_stream(sig, depth=10):
