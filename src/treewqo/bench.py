@@ -16,7 +16,7 @@ realization of one bag: a nullary leaf wrapped by the bag's non-nullary
 constructors, extra child slots filled with leaves.
 
 Timings cover pushes only, with the cyclic garbage collector off, so
-that no collection over the stream's nodes lands in one run; tree
+that no collection over the stream's trees lands in one run; tree
 construction and measure precomputation happen beforehand so both
 checkers see identical inputs.  A checker's two lengths run in one pass
 on two fresh checkers, two pushes of the 2n stream for each push of its
@@ -34,7 +34,7 @@ from functools import partial
 from itertools import product
 
 from .orders import WqoSpec, conjunction
-from .signature import Signature, Tree, _build, default_signature
+from .signature import Signature, Tree, _coded, default_signature
 from .whistle import NaiveChecker, SequenceChecker
 
 __all__ = ["BenchReport", "bench_whistle", "monotone_stream"]
@@ -49,6 +49,7 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
     """
     *steps, last = [sig.arities[w] for w in wrappers]
     budget = size - 1
+    stride, units = sig.sym_stride, sig.bag_units
     # every count but the last in lexicographic order; the last is what the others leave
     for head in product(*(range(budget // step + 1) for step in steps)):
         rest = budget - sum(m * step for m, step in zip(head, steps))
@@ -57,7 +58,8 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
         counts = head + (rest // last,)
         # innermost first; in preorder come the wrappers outermost first, then leaves
         chain = [w for w, m in zip(wrappers, counts) for _ in range(m)]
-        yield _build(sig, chain[::-1] + [leaf] * (size - len(chain)))
+        roots = chain[::-1] + [leaf] * (size - len(chain))
+        yield _coded(sig, [r * stride for r in roots], sum(map(units.__getitem__, roots)))
 
 
 def _check_count(what: str, value: int, least: int) -> None:

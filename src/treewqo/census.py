@@ -10,9 +10,10 @@ per scan.  Combined orders are conjunctions of their component matrices,
 which is their definition.
 
 The numbering gives every distinct subtree one number by the key
-(root, *child numbers), made at most once per census call, so two trees
-are equal iff their numbers are.  S is then a strict `<` of the sizes
-OR'd with equal numbers, and M is that S AND Z, its definition.
+(root code, *child numbers), made at most once per census call by a
+backward pass over each tree's preorder codes, so no census reads a
+node, and two trees are equal iff their numbers are.  S is then a
+strict `<` of the sizes OR'd with equal numbers, and M is that S AND Z.
 
 H fills one table over the numbered subtrees: a embeds in b iff the roots
 are equal and each child of a embeds in the same child of b (coupling),
@@ -22,7 +23,7 @@ is one block of rows that reads only rows and columns below it, filled
 in place by a few numpy operations; number 0 is a pad of height -1 for a
 missing child, which embeds only in itself.  The table takes D*D bools
 for D distinct subtrees, about 5 000 (25 MB) for the command line's
-default 400 trees.  It numbers subtrees by root index, so a corpus must
+default 400 trees.  It numbers subtrees by root code, so a corpus must
 use one signature.
 
 P and E run the greedy subsequence scan bit-parallel, after Shift-And
@@ -87,25 +88,29 @@ class CensusResult:
 
 
 def _number_subtrees(corpus: list[Tree]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Number the corpus's distinct subtrees exactly, by the key (root,
-    *child numbers): the keys in number order, their heights, and the
-    numbers of the corpus trees, equal iff the trees are equal."""
-    number: dict[tuple[int, ...], int] = {(-1,): 0}  # (root, *child numbers) -> number; 0 pads
+    """Number the corpus's distinct subtrees exactly, by the key (root
+    code, *child numbers): the keys in number order, their heights, and
+    the numbers of the corpus trees, equal iff the trees are equal."""
+    number: dict[tuple[int, ...], int] = {(-1,): 0}  # key -> number; 0 pads
     height = [-1]
-    # every node after its parent, and a node's children side by side
-    nodes = list(corpus)
-    for node in nodes:
-        nodes.extend(node.children)
-    numbered = [0] * len(nodes)  # the number of each node of `nodes`
-    start = len(nodes)  # where the children of nodes[k + 1] start
-    for k in range(len(nodes) - 1, -1, -1):
-        node = nodes[k]
-        start, end = start - len(node.children), start
-        key = (node.root, *numbered[start:end])
-        b = numbered[k] = number.setdefault(key, len(number))
-        if b == len(height):
-            height.append(1 + max([height[c] for c in key[1:]], default=-1))
-    return list(number), height, numbered[:len(corpus)]
+    ids = []
+    for t in corpus:
+        code_arity = t.sig._code_arity
+        done: list[int] = []  # the numbers of the finished subtrees, the leftmost last
+        for c in reversed(t.pre):
+            arity = code_arity[c]
+            if arity:
+                key = (c, *done[:-arity - 1:-1])
+                del done[-arity:]
+            else:
+                key = (c,)
+            b = number.get(key)
+            if b is None:
+                b = number[key] = len(height)
+                height.append(1 + max([height[k] for k in key[1:]], default=-1))
+            done.append(b)
+        ids.append(done[0])
+    return list(number), height, ids
 
 
 def _embedding_matrix(keys: list[tuple[int, ...]], height: list[int], ids: list[int]) -> np.ndarray:

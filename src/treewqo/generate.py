@@ -17,12 +17,12 @@ platforms and implementations:
     output := z XOR z>>31
 
 Uniform [0, 1) variates take the top 53 bits.  Constructors are chosen by
-inverse CDF in signature order.  A draw is the list of its constructor
-indices in preorder.  A draw that would exceed `size_cap` is abandoned at
-the pick that would exceed it, which is never drawn, and redrawn from
+inverse CDF in signature order.  A draw is its scaled preorder codes and
+packed bag.  A draw that would exceed `size_cap` is abandoned at the
+pick that would exceed it, which is never drawn, and redrawn from
 scratch (the already-consumed randomness is not rewound, keeping the
-sequence deterministic).  Only accepted draws are built into trees, and
-in a distinct corpus only the first draw of each tree.
+sequence deterministic).  Only accepted draws become trees, backed by
+their codes, and in a distinct corpus only the first draw of each tree.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .signature import Signature, Tree, _build, default_signature
+from .signature import Signature, Tree, _coded, default_signature
 
 __all__ = ["SplitMix64", "GeneratorConfig", "random_tree", "generate_corpus",
            "default_config"]
@@ -108,37 +108,38 @@ class GeneratorConfig:
 _RETRY_LIMIT = 1_000_000
 
 
-def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> list[int]:
-    """One accepted draw's constructor indices in preorder.  A draw is
+def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> tuple[tuple[int, ...], int]:
+    """One accepted draw's scaled preorder codes and packed bag.  A draw is
     abandoned at the pick that would exceed the size cap, which consumes
     no randomness, and redrawn from scratch, up to the retry limit."""
-    cdf = list(accumulate(cfg.signature.probabilities))
+    sig = cfg.signature
+    cdf = list(accumulate(sig.probabilities))
     last = len(cdf) - 1
-    arities = cfg.signature.arities
+    arities, units, stride = sig.arities, sig.bag_units, sig.sym_stride
     cap = cfg.size_cap
     for _ in range(_RETRY_LIMIT):
-        roots: list[int] = []
-        open_slots = 1
-        while open_slots and len(roots) < cap:
+        codes, bag, open_slots = [], 0, 1
+        while open_slots and len(codes) < cap:
             # clamped against rounding of the last sum below 1
             root = min(bisect_right(cdf, rng.next_float()), last)
-            roots.append(root)
+            codes.append(root * stride)
+            bag += units[root]
             open_slots += arities[root] - 1
         if not open_slots:
-            return roots
+            return tuple(codes), bag
     raise RuntimeError(f"gave up after {_RETRY_LIMIT} oversize draws (cap {cfg.size_cap})")
 
 
 def random_tree(cfg: GeneratorConfig, rng: SplitMix64) -> Tree:
     """One tree from the configured distribution; oversize draws are
     resampled from scratch, up to the retry limit."""
-    return _build(cfg.signature, _draw(cfg, rng))
+    return _coded(cfg.signature, *_draw(cfg, rng))
 
 
 def generate_corpus(cfg: GeneratorConfig) -> list[Tree]:
     """`corpus_size` trees in draw order, pairwise distinct when
     `cfg.distinct`, deterministic in the seed.  Duplicates are told apart
-    by their constructor indices in preorder, before any tree is built."""
+    by their preorder codes, before any tree is made."""
     rng = SplitMix64(cfg.seed)
     corpus: list[Tree] = []
     seen: set[tuple[int, ...]] = set()
@@ -149,13 +150,12 @@ def generate_corpus(cfg: GeneratorConfig) -> list[Tree]:
             raise RuntimeError(
                 f"could not draw {cfg.corpus_size} distinct trees in {_RETRY_LIMIT} attempts"
             )
-        roots = _draw(cfg, rng)
+        codes, bag = _draw(cfg, rng)
         if cfg.distinct:
-            drawn = tuple(roots)
-            if drawn in seen:
+            if codes in seen:
                 continue
-            seen.add(drawn)
-        corpus.append(_build(cfg.signature, roots))
+            seen.add(codes)
+        corpus.append(_coded(cfg.signature, codes, bag))
     return corpus
 
 

@@ -6,17 +6,18 @@ generator).  A Tree is a finite term over one signature; the number of
 children of every node must equal its constructor's declared arity.
 
 A tree has one of two backings and one identity, its preorder codes.  A
-node-backed tree, built by `Tree()`, the generator or `monotone_stream`
-(the last two through `_build`), holds its children and makes its codes
-on first use.  A parsed tree holds its scaled preorder codes and builds
-its children once, on first access, through `_build`; no push of a named
-order and no rendering reads them.  Each root eagerly carries size and
-packed constructor bag: `_fill` defines them for nodes, and `parse_tree`
-computes the same two in its one pass.  A tree hashes as its codes and
-equal trees have equal codes, so a node-backed tree walks its nodes only
-when something hashes or compares it.  Only `Tree()` checks arity and
-signature.  One `_build` call shares one leaf per nullary constructor,
-and no node outlives its call in any cache.
+node-backed tree, which only `Tree()` makes, holds its children and makes
+its codes on first use.  Every other tree the package makes, from
+`parse_tree`, the generator or `monotone_stream`, is code-backed: `_coded`
+makes it from its scaled preorder codes, and its children are built once,
+on first access, through `_build`; no push of a named order, no census
+and no rendering reads them.  Each root eagerly carries size and packed
+constructor bag: `_fill` defines them for nodes, and the makers of
+code-backed trees pass the same two with the codes.  A tree hashes as its
+codes and equal trees have equal codes, so a node-backed tree walks its
+nodes only when something hashes, compares or traverses it.  Only
+`Tree()` checks arity and signature.  One `_build` call shares one leaf
+per nullary constructor, and no node outlives its call in any cache.
 
 The packed bag is one int holding a 32-bit field per constructor: the
 count of constructor i sits in bits 32*i .. 32*i + 30, and bit 32*i + 31,
@@ -31,14 +32,15 @@ bag's support, `bag_at_least(t, 1)`, and the repeated set is
 `bag_at_least(t, k)`.
 
 The traversals are plain tuples of ints, cached once made: `pre` and
-`eul` hold the preorder and Euler traversal codes, walked over the nodes
-of a node-backed tree and read off a parsed tree's codes; `bag` decodes
-the packed bag into one count per constructor on every access.  The
-order kernels read these fields directly; the measure functions decode
-them into names and symbols: `constructor_set` and `repeated_set` return
-a frozenset of names, `constructor_bag` a `ConstructorBag`, and the two
-traversals a tuple of `TraversalSymbol`.  All traversals are iterative,
-so deep chain-shaped trees do not hit the interpreter recursion limit.
+`eul` hold the preorder and Euler traversal codes.  `pre` is walked over
+the nodes of a node-backed tree and held by a code-backed one, and `eul`
+is read off `pre`; `bag` decodes the packed bag into one count per
+constructor on every access.  The order kernels read these fields
+directly; the measure functions decode them into names and symbols:
+`constructor_set` and `repeated_set` return a frozenset of names,
+`constructor_bag` a `ConstructorBag`, and the two traversals a tuple of
+`TraversalSymbol`.  All traversals are iterative, so deep chain-shaped
+trees do not hit the interpreter recursion limit.
 
 Traversal strings use one alphabet for both traversals: the symbol "c
 visited i times" is encoded as ``index(c) * (max_arity + 1) + i``.  A
@@ -267,8 +269,8 @@ class Tree:
     O(arity) from the children's measures; it refuses a tree of 2**31
     nodes or more, whose counts would not fit their fields.  Such a tree
     is node-backed: `children` is its primary data and `pre` is walked on
-    first use, such as its first hash.  `parse_tree` returns a tree backed
-    by its preorder codes instead (see the module docstring); the two
+    first use, such as its first hash.  Every other tree the package makes
+    is backed by its preorder codes (see the module docstring); the two
     backings hash and compare alike.
     """
 
@@ -339,50 +341,14 @@ class Tree:
 
     @property
     def eul(self) -> tuple[int, ...]:
-        if self._eul is None:
-            stride = self.sig.sym_stride
-            arities = self.sig.arities
-            codes = []
-            stack = [(self, 0)]
-            while stack:
-                node, visit = stack.pop()
-                codes.append(node.root * stride + visit)
-                if visit < arities[node.root]:
-                    stack.append((node, visit + 1))
-                    stack.append((node.children[visit], 0))
-            self._eul = tuple(codes)
-        return self._eul
-
-
-_new_tree = Tree.__new__
-
-
-class _ParsedTree(Tree):
-    """A tree backed by its scaled preorder codes `_pre`; see `parse_tree`."""
-
-    __slots__ = ()
-
-    @property
-    def children(self) -> tuple[Tree, ...]:
-        """Node-backed children, built once on first access."""
-        try:
-            return Tree.children.__get__(self)  # the base class's slot
-        except AttributeError:
-            stride = self.sig.sym_stride
-            kids = _build(self.sig, [c // stride for c in self._pre]).children
-            Tree.children.__set__(self, kids)
-            return kids
-
-    @property
-    def eul(self) -> tuple[int, ...]:
-        """Read off the codes: a node's visit-i code ends its i-th child."""
+        """Read off the preorder codes: a node's visit-i code ends its i-th child."""
         if self._eul is None:
             stride = self.sig.sym_stride
             arities = self.sig.arities
             code_arity = self.sig._code_arity
             codes = []
             pending = []  # the next code of every node with children to finish
-            for c in self._pre:
+            for c in self.pre:
                 codes.append(c)
                 if code_arity[c]:
                     pending.append(c + 1)
@@ -395,6 +361,35 @@ class _ParsedTree(Tree):
                         break
             self._eul = tuple(codes)
         return self._eul
+
+
+_new_tree = Tree.__new__
+
+
+class _CodedTree(Tree):
+    """A tree backed by its scaled preorder codes `_pre`; see `_coded`."""
+
+    __slots__ = ()
+
+    @property
+    def children(self) -> tuple[Tree, ...]:
+        """Node-backed children, built once on first access."""
+        try:
+            return Tree.children.__get__(self)  # the base class's slot
+        except AttributeError:
+            kids = _build(self.sig, [c // self.sig.sym_stride for c in self._pre]).children
+            Tree.children.__set__(self, kids)
+            return kids
+
+
+def _coded(sig: Signature, codes: Iterable[int], bag: int) -> Tree:
+    """The code-backed tree of scaled preorder codes `codes` and packed bag
+    `bag`, both unchecked; every tree not made by `Tree()` is made here."""
+    t = _new_tree(_CodedTree)
+    t._pre = codes = tuple(codes)
+    t.sig, t.root, t.size, t.packed_bag = sig, codes[0] // sig.sym_stride, len(codes), bag
+    t._eul = t._spans = None
+    return t
 
 
 def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tree:
@@ -580,10 +575,10 @@ def euler_traversal(t: Tree) -> tuple[TraversalSymbol, ...]:
 
 
 def tree_hash(t: Tree) -> int:
-    """The hash of t's preorder codes, read off a parsed tree and walked
-    once over a node-backed one.  Equal trees hash equal; collisions are
-    resolved by tree_equal.  Stable across processes but not across Python
-    versions or platforms, so never persist it."""
+    """The hash of t's preorder codes, held by a code-backed tree and
+    walked once over a node-backed one.  Equal trees hash equal;
+    collisions are resolved by tree_equal.  Stable across processes but
+    not across Python versions or platforms, so never persist it."""
     return hash(t.pre)
 
 
@@ -702,10 +697,7 @@ def parse_tree(text: str, sig: Signature) -> Tree:
             tok = next(tokens)
         else:
             if not tok:
-                t = _new_tree(_ParsedTree)
-                t.sig, t.root, t.size, t.packed_bag = sig, codes[0] // stride, len(codes), bag
-                t._pre, t._eul, t._spans = tuple(codes), None, None
-                return t
+                return _coded(sig, codes, bag)
             error = f"unexpected {tok!r} after term"
         if error is not None:
             break
@@ -718,7 +710,7 @@ def parse_tree(text: str, sig: Signature) -> Tree:
 def render_tree(t: Tree) -> str:
     """Canonical text form; parse_tree(render_tree(t)) == t.  Read off the
     preorder codes with a stack of the children each open term still
-    lacks, so rendering a parsed tree builds no node."""
+    lacks, so rendering a code-backed tree builds no node."""
     sig = t.sig
     names, stride, code_arity = sig.names, sig.sym_stride, sig._code_arity
     out = []

@@ -31,9 +31,11 @@ from treewqo import (
     write_census_tsv,
 )
 import treewqo
+import treewqo.signature
 from treewqo import orders
 from treewqo.census import _subsequence_matrix
 from treewqo.orders import named_implications
+from treewqo.signature import _build
 
 from .oracles import dp_is_subsequence, naive_embeds
 from .strategies import symbol_strings, trees_over
@@ -149,11 +151,18 @@ TWIN_TEXTS = ["c(b(a),a)", "c(a,b(a))", "g(b(a),a)", "c(f(a),a)", "c(b(e),a)",
               "c(b(a),e)", "b(b(b(a)))", "f(c(a,a))", "c(b(a),a)"]
 
 
+def _backings(t):
+    """t as a parsed, code-backed tree and as a node-backed one."""
+    sig = t.sig
+    return parse_tree(render_tree(t), sig), _build(sig, [c // sig.sym_stride for c in t.pre])
+
+
 def _size_corpora(corpus):
     """The small corpus, the equal-size twins, and a corpus that holds one
     tree twice, once node-backed and once parsed."""
-    twice = corpus[:12] + [parse_tree(render_tree(corpus[5]), corpus[5].sig)]
-    assert twice[5] == twice[-1] and type(twice[5]) is not type(twice[-1])
+    parsed, built = _backings(corpus[5])
+    twice = corpus[:5] + [built] + corpus[6:12] + [parsed]
+    assert twice[5] == twice[-1] and type(twice[5]) is Tree and type(twice[-1]) is not Tree
     return {"small": corpus, "twins": [parse_tree(x, TWINS) for x in TWIN_TEXTS],
             "twice": twice}
 
@@ -170,7 +179,9 @@ def test_size_matrices_match_pairwise_relations(small_corpus, name):
 
 def test_census_makes_no_pairwise_call(monkeypatch, small_corpus):
     """A census of all 27 orders and its audit decide every letter without
-    a pairwise kernel, with the same matrices and report as unguarded.
+    a pairwise kernel, with the same matrices and report as unguarded, and
+    so do `S`-, `M`- and `H`-only censuses.  None of them builds a node of
+    a parsed or generated tree.
 
     Each guard stands for a per-corpus cost measured on the benchmark's
     24-tree census corpora (CPU time, best of 5, strings already made):
@@ -179,27 +190,44 @@ def test_census_makes_no_pairwise_call(monkeypatch, small_corpus):
       one bit-parallel scan per right string;
     - `rel_size`, `rel_sized_set`: 576 calls each took `S` 139 us and
       `M` 335 us, `M` recomputing both trees' supports on every smaller
-      pair; the subtree numbering that `H` makes anyway decides both.
+      pair; the subtree numbering that `H` makes anyway decides both;
+    - `signature._build`: a numbering that walked `children` built every
+      node of a parsed corpus for an `S`- or `M`-only census.
     """
-    corpus = small_corpus[0]
+    corpus, cfg = small_corpus
     expected = census(corpus)
     expected_report = hierarchy_audit(expected, corpus)
+    partial = {letter: census(corpus, [parse_wqo_name(letter)]).base_matrices
+               for letter in "SMH"}
 
     def refuse(*args, **kwargs):
         raise AssertionError("the census called a pairwise kernel")
+
+    def refuse_nodes(*args):
+        raise AssertionError("the census built nodes of a tree")
 
     names = ("rel_size", "rel_sized_set", "rel_preorder", "rel_euler", "is_subsequence")
     for module in (orders, CENSUS, treewqo):
         for name in names:
             monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(orders, "_BASE_RELS", {})
-    result = census(corpus)
-    for got, want in ((result.base_matrices, expected.base_matrices),
-                      (result.matrices, expected.matrices)):
-        assert got.keys() == want.keys()
-        assert all((got[k] == want[k]).all() for k in want)
-    assert result.counts == expected.counts
-    assert hierarchy_audit(result, corpus) == expected_report
+    monkeypatch.setattr(treewqo.signature, "_build", refuse_nodes)
+    generated = generate_corpus(cfg)
+    parsed = [parse_tree(render_tree(t), t.sig) for t in corpus]
+    for trees in (generated, parsed):
+        result = census(trees)
+        for got, want in ((result.base_matrices, expected.base_matrices),
+                          (result.matrices, expected.matrices)):
+            assert got.keys() == want.keys()
+            assert all((got[k] == want[k]).all() for k in want)
+        assert result.counts == expected.counts
+        assert hierarchy_audit(result, trees) == expected_report
+        for letter, want in partial.items():
+            got = census(trees, [parse_wqo_name(letter)]).base_matrices
+            assert got.keys() == want.keys()
+            assert all((got[k] == want[k]).all() for k in want)
+    with pytest.raises(AssertionError, match="built nodes"):
+        parsed[0].children
 
 
 class TestSubsequenceMatrix:
@@ -279,11 +307,14 @@ def _naive_verdicts(s, t):
 
 
 def _assert_base_matches_naive(corpus):
-    base = census(corpus).base_matrices
-    for i, s in enumerate(corpus):
-        for j, t in enumerate(corpus):
+    """Censuses of the corpus, parsed and node-backed, against the reference."""
+    want = {(i, j): _naive_verdicts(s, t)
+            for i, s in enumerate(corpus) for j, t in enumerate(corpus)}
+    for trees in zip(*map(_backings, corpus)):
+        base = census(list(trees)).base_matrices
+        for (i, j), verdicts in want.items():
             got = {letter: bool(base[letter][i, j]) for letter in CHECKED}
-            assert got == _naive_verdicts(s, t), (render_tree(s), render_tree(t))
+            assert got == verdicts, (render_tree(corpus[i]), render_tree(corpus[j]))
 
 
 class TestSharedEmbeddingMemo:

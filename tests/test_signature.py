@@ -30,7 +30,7 @@ from treewqo import (
 from treewqo import signature
 from treewqo.signature import _build, _check_constructor, _offset, _tokens
 
-from .oracles import naive_parse, regex_is_name, regex_tokens
+from .oracles import naive_euler, naive_parse, regex_is_name, regex_tokens
 from .strategies import MULTI_SIG, trees, trees_over
 
 
@@ -535,6 +535,14 @@ class TestMeasureProperties:
     def test_euler_length_of_b(self, worked):
         assert len(euler_traversal(worked["B"])) == 9
 
+    @given(t=st.one_of(trees(), trees_over(MULTI_SIG)))
+    @settings(max_examples=200)
+    def test_euler_matches_recursive_oracle(self, t):
+        # one `eul` reads the codes of either backing; t is built by Tree()
+        want = naive_euler(t)
+        for u in (t, parse_tree(render_tree(t), t.sig)):
+            assert [(u.sig.index(c), visit) for c, visit in euler_traversal(u)] == want
+
     @given(t=trees())
     @settings(max_examples=200)
     def test_pre_is_first_visits_of_euler(self, t):
@@ -619,7 +627,9 @@ def test_deep_tree_no_recursion_limit(sig):
     chain = Tree(sig, 0)
     for _ in range(n):
         chain = Tree(sig, 1, (chain,))
-    assert t.eul == chain.eul
+    # b visited 0 times n times, the leaf a, then b visited once n times
+    b0, b1 = sig.sym_stride, sig.sym_stride + 1
+    assert chain.eul == (b0,) * n + (0,) + (b1,) * n == t.eul
     assert t == chain and chain == t
     assert t.children[0].size == n and t.children[0] == chain.children[0]
     assert sum(1 for _ in t.nodes()) == n + 1

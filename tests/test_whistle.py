@@ -307,8 +307,9 @@ class TestAccelerationStructure:
 
 
 def test_pushes_of_parsed_trees_build_no_node(monkeypatch, sig):
-    """No push under any of the 27 named orders builds a node of a parsed
-    tree, and `Tree` keeps the attribute access these pushes rely on.
+    """No push under any of the 27 named orders builds a node of a parsed,
+    generated or `monotone_stream` tree, and `Tree` keeps the attribute
+    access these pushes rely on.
 
     Each guard stands for a design measured slower in a benchmark run:
     - a push that reads children: lazy children with a node-walking `H`
@@ -319,20 +320,23 @@ def test_pushes_of_parsed_trees_build_no_node(monkeypatch, sig):
     - `children` as a property of `Tree` over another slot: `census` fell
       6 % (its `H` table 1278 -> 1472 us a corpus, `E` 912 -> 1172 us).
     """
-    stream = [render_tree(t) for t in random_stream(sig, 77, 200)]
+    lines = [render_tree(t) for t in random_stream(sig, 77, 200)]
 
     def refuse(*args):
-        raise AssertionError("a push built nodes of a parsed tree")
+        raise AssertionError("a push built nodes of a code-backed tree")
 
     monkeypatch.setattr(signature, "_build", refuse)
+    # drawn under the guard and pushed as drawn, with no re-parse
+    drawn = random_stream(sig, 77, 200) + monotone_stream(sig, 200, 20)
     comparisons = 0
     for spec in all_named_specs():
-        chk = SequenceChecker(spec)
-        for line in stream:
-            if chk.push(parse_tree(line, sig)).whistled:
-                comparisons += chk.comparisons
-                chk.reset()
-        comparisons += chk.comparisons
+        for stream in ([parse_tree(line, sig) for line in lines], drawn):
+            chk = SequenceChecker(spec)
+            for t in stream:
+                if chk.push(t).whistled:
+                    comparisons += chk.comparisons
+                    chk.reset()
+            comparisons += chk.comparisons
     assert comparisons > 0
     with pytest.raises(AssertionError, match="built nodes"):
         parse_tree("b(a)", sig).children
@@ -345,7 +349,8 @@ def test_pushes_of_parsed_trees_build_no_node(monkeypatch, sig):
 def test_distinct_bags_hash_no_tree(sig):
     # a node-backed tree makes its codes only when hashed or compared, and
     # an admit-only stream of distinct bags needs neither
-    stream = monotone_stream(sig, 300, 20)
+    stream = [_build(sig, [c // sig.sym_stride for c in t.pre])
+              for t in monotone_stream(sig, 300, 20)]
     for name in ("SB", "H", "YZH"):
         chk = SequenceChecker(parse_wqo_name(name))
         assert all(o.admitted for o in push_all(chk, stream))
