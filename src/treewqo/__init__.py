@@ -1,11 +1,7 @@
-"""Well-quasi orders on trees over fixed-arity signatures.
-
-Eight base orders on trees (size, homeomorphic embedding, constructor
-set, repeated-constructor set, constructor bag, set-refined size,
-preorder-string and Euler-string subsequence), their intersections, an
-incremental "whistle" sequence checker pruned by the implication
-lattice, a seeded random-tree generator and a discriminative-power
-census.
+"""Well-quasi orders on trees over fixed-arity signatures: eight base
+orders and their intersections (`orders`), an incremental "whistle"
+sequence checker (`whistle`), a seeded random-tree generator
+(`generate`) and a discriminative-power census (`census`).
 """
 
 # each module's __all__ is its public API; the star import binds

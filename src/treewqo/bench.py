@@ -1,19 +1,13 @@
 """Whistle timing benchmarks: optimized checker vs naive reference.
 
-The interesting regime is a stream that never whistles, because every
-naive push then scans the entire admitted sequence: quadratic total work,
-so doubling the stream length should roughly quadruple the naive time.
-The optimized checker stays near-linear for every order that implies S
-or B: sizes never grow along the stream, so no admitted tree is ever a
-candidate.
-
-`monotone_stream` builds such a stream deterministically: trees with
-pairwise-distinct constructor bags, emitted in non-increasing size order.
-Distinct bags rule out equal trees and equal bags, and non-increasing
-sizes rule out the strictly-smaller branch, so S, B and every order that
-implies either admit the whole stream.  Each tree is the canonical chain
-realization of one bag: a nullary leaf wrapped by the bag's non-nullary
-constructors, extra child slots filled with leaves.
+The interesting regime is a stream that never whistles: every naive
+push then scans the whole admitted sequence, quadratic total work, so
+doubling the stream length roughly quadruples the naive time.
+`monotone_stream` builds one deterministically, trees with
+pairwise-distinct constructor bags in non-increasing size order: no tree
+equals, shares a bag with or is smaller than one after it, so S, B and
+every order that implies either admit the whole stream, and the
+optimized checker, finding no candidate, stays near-linear.
 
 Timings cover pushes only, with the cyclic garbage collector off, so
 that no collection over the stream's trees lands in one run; tree
@@ -34,19 +28,16 @@ from functools import partial
 from itertools import product
 
 from .orders import WqoSpec, conjunction
-from .signature import Signature, Tree, _coded, default_signature
+from .signature import Signature, Tree, _check_count, _coded, default_signature
 from .whistle import NaiveChecker, SequenceChecker
 
 __all__ = ["BenchReport", "bench_whistle", "monotone_stream"]
 
 
 def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int):
-    """Yield one canonical tree per realizable bag of the given size.
-
-    A bag is determined by the multiplicities of the non-nullary
-    constructors (slots force the leaf count), and a tree of size n uses
-    wrapper multiplicities m_i with sum(m_i * arity_i) = n - 1.
-    """
+    """Yield one tree per realizable bag of the given size: a nullary leaf
+    wrapped by the bag's non-nullary constructors (multiplicities m_i with
+    sum(m_i * arity_i) = size - 1), extra child slots filled with leaves."""
     *steps, last = [sig.arities[w] for w in wrappers]
     budget = size - 1
     stride, units = sig.sym_stride, sig.bag_units
@@ -60,14 +51,6 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
         chain = [w for w, m in zip(wrappers, counts) for _ in range(m)]
         roots = chain[::-1] + [leaf] * (size - len(chain))
         yield _coded(sig, [r * stride for r in roots], sum(map(units.__getitem__, roots)))
-
-
-def _check_count(what: str, value: int, least: int) -> None:
-    """Refuse a count that is not an int (bool included) or below `least`."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} is not an int: {value!r}")
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 def monotone_stream(sig: Signature, n: int, tree_size: int) -> list[Tree]:
@@ -127,9 +110,8 @@ def _warm(trees: list[Tree], spec: WqoSpec) -> None:
 
 
 def _interleaved_runs(make_checker, stream: list[Tree]) -> list[tuple[float, int]]:
-    """Push the first half of `stream` into one fresh checker from
-    `make_checker` and all of it into another, two pushes of the whole for
-    each of the half, each timed alone; (seconds, whistles) of each run."""
+    """(seconds, whistles) of the first half of `stream` and of all of it,
+    each pushed into a fresh checker from `make_checker`, interleaved."""
     pushes = (make_checker().push, make_checker().push)
     secs, whistles = [0.0, 0.0], [0, 0]
     enabled = gc.isenabled()

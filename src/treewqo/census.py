@@ -2,29 +2,26 @@
 
 The census counts, for each order, the ordered pairs (s, t) of a corpus
 (diagonal included) with s related to t.  Every base letter the specs
-name is decided on every ordered pair, and none by a pairwise kernel:
-the key orders Z and Y compare one key per tree, B compares one array of
-the trees' bags with itself, S, M and H read one numbering of the
-corpus's distinct subtrees, and P and E decide a whole column of pairs
-per scan.  Combined orders are conjunctions of their component matrices,
-which is their definition.
+name is decided on every ordered pair, and none by a pairwise kernel.
+Z and Y are equality of one key per tree, and S is a strict `<` of the
+sizes OR'd with equality of the preorder codes, which are equal iff the
+trees are; equal keys are found by numbering the distinct keys with a
+dict.  B compares one array of the trees' bags with itself, H fills one
+table over the corpus's distinct subtrees, and P and E decide a whole
+column of pairs per scan.  M (= Z AND S) and the combined orders are
+conjunctions of their component matrices, which is their definition.
 
-The numbering gives every distinct subtree one number by the key
-(root code, *child numbers), made at most once per census call by a
-backward pass over each tree's preorder codes, so no census reads a
-node, and two trees are equal iff their numbers are.  S is then a
-strict `<` of the sizes OR'd with equal numbers, and M is that S AND Z.
-
-H fills one table over the numbered subtrees: a embeds in b iff the roots
-are equal and each child of a embeds in the same child of b (coupling),
-or a embeds in some child of b (diving) (Kilpeläinen & Mannila, "Ordered
-and unordered tree inclusion", 1995).  Renumbered by height, each height
-is one block of rows that reads only rows and columns below it, filled
-in place by a few numpy operations; number 0 is a pad of height -1 for a
-missing child, which embeds only in itself.  The table takes D*D bools
-for D distinct subtrees, about 5 000 (25 MB) for the command line's
-default 400 trees.  It numbers subtrees by root code, so a corpus must
-use one signature.
+For H alone, the corpus's distinct subtrees are numbered by the key
+(root code, *child numbers), in one backward pass over each tree's
+preorder codes, so no census reads a node.  The table then applies the
+coupling and diving rules of `orders.rel_embed` to every pair of numbered
+subtrees (Kilpeläinen & Mannila, "Ordered and unordered tree inclusion",
+1995).  Renumbered by height, each height is one block of rows that
+reads only rows and columns below it, filled in place by a few numpy
+operations; number 0 is a pad of height -1 for a missing child, which
+embeds only in itself.  The table takes D*D bools for D distinct
+subtrees.  It numbers subtrees by root code, so a corpus must use one
+signature.
 
 P and E run the greedy subsequence scan bit-parallel, after Shift-And
 (Baeza-Yates & Gonnet, "A new approach to text searching", CACM 1992),
@@ -49,9 +46,8 @@ The audit then checks, on the raw pair sets rather than the counts:
     some pair separates the two orders; a missing separating pair is
     reported as unverified, not as a failure.
 
-Since M is built as Z AND S, the M=ZS identity holds by construction and
-checks only the conjunctions; `rel_sized_set` is checked against the M
-matrix by the tests and by the benchmark's reference verdicts.  Every
+Since M is Z AND S, M=ZS checks only the conjunctions; the tests and the
+benchmark's reference verdicts check M against `rel_sized_set`.  Every
 other letter is decided on its own, so the other implications compare
 independently decided matrices.  One product of the 27 flattened
 matrices counts, for every two orders, the pairs related under one and
@@ -61,6 +57,7 @@ not the other, exactly: in float32 while n*n < 2**24, else float64.
 from __future__ import annotations
 
 import sys
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -88,9 +85,8 @@ class CensusResult:
 
 
 def _number_subtrees(corpus: list[Tree]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Number the corpus's distinct subtrees exactly, by the key (root
-    code, *child numbers): the keys in number order, their heights, and
-    the numbers of the corpus trees, equal iff the trees are equal."""
+    """Number the distinct subtrees by (root code, *child numbers): the keys
+    in number order, their heights, and the numbers of the corpus trees."""
     number: dict[tuple[int, ...], int] = {(-1,): 0}  # key -> number; 0 pads
     height = [-1]
     ids = []
@@ -147,9 +143,7 @@ def _bits(where: np.ndarray) -> int:
 
 def _subsequence_matrix(strings: list[tuple[int, ...]]) -> np.ndarray:
     """m[i, j]: strings[i] is a subsequence of strings[j], for strings of
-    small non-negative ints such as traversal codes; one greedy scan of
-    each right string decides it against every left string at once (see
-    the module docstring)."""
+    small non-negative ints such as traversal codes; see the module docstring."""
     n = len(strings)
     lengths = np.fromiter(map(len, strings), np.intp, n)
     order = np.argsort(lengths, kind="stable")
@@ -182,21 +176,21 @@ def _subsequence_matrix(strings: list[tuple[int, ...]]) -> np.ndarray:
     return found[np.argsort(order)]
 
 
-def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int,
-                 subtrees: tuple[list[tuple[int, ...]], list[int], list[int]] | None) -> np.ndarray:
+def _equal_keys(keys: Iterable[Hashable]) -> np.ndarray:
+    """m[i, j]: the i-th and j-th keys are equal, by numbering the distinct keys."""
+    number: dict = {}
+    ids = np.array([number.setdefault(key, len(number)) for key in keys], dtype=np.intp)
+    return ids[:, None] == ids[None, :]
+
+
+def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarray:
     if letter in KEY_LETTERS:
-        # related iff equal keys: number the distinct keys, compare the numbers
-        key = partition_key(letter, y_threshold)
-        number: dict[int, int] = {}
-        ids = np.array([number.setdefault(key(t), len(number)) for t in corpus], dtype=np.intp)
-        return ids[:, None] == ids[None, :]
-    if letter == "H":
-        return _embedding_matrix(*subtrees)
+        return _equal_keys(map(partition_key(letter, y_threshold), corpus))
     if letter == "S":
-        # strictly smaller, or equal: equal trees are those with one subtree number
         sizes = np.array([t.size for t in corpus], dtype=np.int64)
-        ids = np.array(subtrees[2], dtype=np.intp)
-        return (sizes[:, None] < sizes[None, :]) | (ids[:, None] == ids[None, :])
+        return (sizes[:, None] < sizes[None, :]) | _equal_keys(t.pre for t in corpus)
+    if letter == "H":
+        return _embedding_matrix(*_number_subtrees(corpus))
     if letter == "P":
         return _subsequence_matrix([t.pre for t in corpus])
     if letter == "E":
@@ -212,12 +206,9 @@ def census(
     specs: list[WqoSpec] | None = None,
     config: GeneratorConfig | None = None,
 ) -> CensusResult:
-    """Count related ordered pairs for each spec over the whole corpus.
-
-    Specs that name Y must share one y_threshold, and all trees one signature.
-    Deterministic for a fixed corpus; the per-spec boolean matrices are
-    kept on the result for the audit.
-    """
+    """Count related ordered pairs for each spec over the whole corpus, whose
+    trees share one signature; specs that name Y must share one y_threshold.
+    The per-spec boolean matrices are kept on the result for the audit."""
     if specs is None:
         specs = list(all_named_specs())
     thresholds = {s.y_threshold for s in specs if "Y" in s.components}
@@ -229,9 +220,7 @@ def census(
 
     # expanded: Z and S back the audit's identity checks even when only M is named
     letters = sorted({l for s in specs for l in s.components | s.expanded})
-    # one numbering serves S, M (through S) and H
-    subtrees = None if {"S", "H"}.isdisjoint(letters) else _number_subtrees(corpus)
-    base = {l: _base_matrix(l, corpus, y_threshold, subtrees) for l in letters if l != "M"}
+    base = {l: _base_matrix(l, corpus, y_threshold) for l in letters if l != "M"}
     if "M" in letters:
         base["M"] = base["Z"] & base["S"]  # its definition, so M=ZS holds by construction
 
@@ -244,7 +233,7 @@ def census(
         matrices[spec.name] = m
         counts[spec.name] = int(m.sum())
 
-    result = CensusResult(
+    return CensusResult(
         counts=counts,
         corpus_size=len(corpus),
         seed=config.seed if config else None,
@@ -253,7 +242,6 @@ def census(
         matrices=matrices,
         base_matrices=base,
     )
-    return result
 
 
 def write_census_tsv(result: CensusResult, out=None) -> None:
@@ -302,14 +290,7 @@ class AuditReport:
 
 def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> AuditReport:
     """Audit a census over all named orders; see the module docstring.
-
-    Every base letter is decided on every pair, M as Z AND S and the
-    others each on its own; one product of the flattened matrices counts
-    the pairs that separate any two orders.
-
-    If the result lacks a named order's matrix (a partial census), the
-    corpus is required so they can be recomputed.
-    """
+    A partial census needs the corpus, to recompute the missing orders."""
     specs = list(all_named_specs())
     missing = [s.name for s in specs if s.name not in result.matrices]
     if missing or not result.base_matrices:

@@ -1,11 +1,6 @@
-"""Command-line front end.
-
-Subcommands: compare (one pair of terms), whistle (a tree stream file),
-census (pair counts over a generated corpus, saved with --dump, or over
-the tree file given by --corpus; --audit checks the hierarchy), bench
-(optimized vs naive checker timings).  Results go to stdout, diagnostics
-to stderr: census times its corpus, census and audit on separate lines,
-bench prints the doubling ratios.
+"""Command-line front end; `build_parser` defines the subcommands.
+Results go to stdout, diagnostics to stderr: census times its corpus,
+census and audit on separate lines, bench prints the doubling ratios.
 
 Exit codes: compare 0 related / 1 unrelated / 2 error; whistle 0 whistled
 / 1 stream exhausted / 2 error; census and bench 0 ok / 1 audit failure /

@@ -17,12 +17,10 @@ platforms and implementations:
     output := z XOR z>>31
 
 Uniform [0, 1) variates take the top 53 bits.  Constructors are chosen by
-inverse CDF in signature order.  A draw is its scaled preorder codes and
-packed bag.  A draw that would exceed `size_cap` is abandoned at the
-pick that would exceed it, which is never drawn, and redrawn from
-scratch (the already-consumed randomness is not rewound, keeping the
-sequence deterministic).  Only accepted draws become trees, backed by
-their codes, and in a distinct corpus only the first draw of each tree.
+inverse CDF in signature order.  A draw that would exceed `size_cap` is
+abandoned at the pick that would exceed it, which is never drawn, and
+redrawn from scratch (the already-consumed randomness is not rewound,
+keeping the sequence deterministic).  Only accepted draws become trees.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .signature import Signature, Tree, _coded, default_signature
+from .signature import Signature, Tree, _check_count, _coded, default_signature
 
 __all__ = ["SplitMix64", "GeneratorConfig", "random_tree", "generate_corpus",
            "default_config"]
@@ -77,16 +75,12 @@ class GeneratorConfig:
     def __post_init__(self):
         if not self.signature.has_probabilities:
             raise ValueError("generation needs a signature with probabilities")
-        for name in ("seed", "corpus_size", "size_cap"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name.replace('_', ' ')} is not an int: {value!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed is not an int: {self.seed!r}")
+        _check_count("corpus size", self.corpus_size, 0)
+        _check_count("size cap", self.size_cap, 1)
         if not isinstance(self.distinct, bool):
             raise ValueError(f"distinct is not a bool: {self.distinct!r}")
-        if self.corpus_size < 0:
-            raise ValueError(f"corpus size must be >= 0, got {self.corpus_size}")
-        if self.size_cap < 1:
-            raise ValueError(f"size cap must be >= 1, got {self.size_cap}")
         m = self.branching_factor
         if m >= 1.0:
             warnings.warn(
@@ -109,9 +103,8 @@ _RETRY_LIMIT = 1_000_000
 
 
 def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> tuple[tuple[int, ...], int]:
-    """One accepted draw's scaled preorder codes and packed bag.  A draw is
-    abandoned at the pick that would exceed the size cap, which consumes
-    no randomness, and redrawn from scratch, up to the retry limit."""
+    """One accepted draw's scaled preorder codes and packed bag; oversize
+    draws are redrawn as the module docstring says, up to the retry limit."""
     sig = cfg.signature
     cdf = list(accumulate(sig.probabilities))
     last = len(cdf) - 1
@@ -131,8 +124,7 @@ def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> tuple[tuple[int, ...], int]:
 
 
 def random_tree(cfg: GeneratorConfig, rng: SplitMix64) -> Tree:
-    """One tree from the configured distribution; oversize draws are
-    resampled from scratch, up to the retry limit."""
+    """One code-backed tree from the configured distribution."""
     return _coded(cfg.signature, *_draw(cfg, rng))
 
 

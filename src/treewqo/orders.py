@@ -1,24 +1,14 @@
 """The well-quasi orders on trees and their intersections.
 
-Eight base orders, identified by the one-letter codes the command line
-uses:
-
-  S  equal trees, or the left one strictly smaller
-  H  homeomorphic embedding (couple equal roots childwise, or dive into
-     some child of the right tree)
-  Z  both trees use the same set of constructors
-  Y  both trees use the same set of k-times-repeated constructors (k >= 2)
-  B  the left constructor bag is a sub-multiset of the right one
-  M  same constructor set and S-related; equivalently size comparison
-     restricted to trees over one constructor set
-  P  preorder string of the left is a subsequence of the right's
-  E  Euler-tour string of the left is a subsequence of the right's
-
-Intersections are written by concatenating letters ("SB", "YZH", ...).
-A WqoSpec holds a canonical, redundancy-free component set: M is treated
-as the intersection of Z and S, and any component implied by another is
-dropped (H implies E implies P implies both B and S).  Canonicalizing all
-combinations of the eight letters yields exactly 27 distinct named orders.
+Eight base orders, each named by the one letter the command line uses
+and defined by its kernel below: S `rel_size`, H `rel_embed`, Z
+`rel_set`, Y `rel_repeated`, B `rel_bag`, M `rel_sized_set`, P
+`rel_preorder` and E `rel_euler`.  Intersections are written by
+concatenating letters ("SB", "YZH", ...).  A WqoSpec holds a canonical,
+redundancy-free component set: M is treated as the intersection of Z and
+S, and any component implied by another is dropped (H implies E implies
+P implies both B and S).  Canonicalizing all combinations of the eight
+letters yields exactly 27 distinct named orders.
 
 A combined relation is decided by its base relations in `LETTERS` order,
 short-circuiting on the first failure (`conjunction`, `rel`); the whistle
@@ -237,22 +227,16 @@ def rel_repeated(s: Tree, t: Tree, k: int = 2) -> bool:
 
 
 def rel_bag(s: Tree, t: Tree) -> bool:
-    """B: the constructor bag of s is a sub-multiset of t's.
-
-    One borrow test on the packed bags: with every guard bit of t's set,
-    subtracting s's bag clears a guard bit exactly where s counts more,
-    and no field borrows from the next (see `signature.bag_at_least`).
-    """
+    """B: the constructor bag of s is a sub-multiset of t's.  With every
+    guard bit of t's packed bag set, subtracting s's clears a guard bit
+    exactly where s counts more (see `signature.bag_at_least`)."""
     guards = t.sig.bag_guards
     return ((t.packed_bag | guards) - s.packed_bag) & guards == guards
 
 
 def rel_sized_set(s: Tree, t: Tree) -> bool:
-    """M: same constructor set, and equal or strictly smaller.
-
-    This is exactly the intersection of Z and S, i.e. size comparison
-    restricted to trees with one underlying constructor set.
-    """
+    """M: same constructor set, and equal or strictly smaller, which is
+    exactly the intersection of Z and S."""
     if s.size < t.size:
         return bag_at_least(s, 1) == bag_at_least(t, 1)
     return tree_equal(s, t)  # equal trees use one constructor set
@@ -274,13 +258,12 @@ def rel_embed(s: Tree, t: Tree) -> bool:
     s embeds into t iff the roots are equal and the children embed
     pairwise (coupling), or s embeds into some child of t (diving).
     Decided iteratively on index pairs into the two preorder code arrays,
-    with a fresh memo for every call.  No node is read: a subtree at i
-    spans `pre[i:ends[i]]`, its children start at i + 1 and at each
-    child's end, and its packed bag is a difference of prefix sums, both
-    cached on the tree (`signature._subtree_spans`).  H implies S and B,
-    so a subproblem whose left subtree is not smaller holds only when the
-    two code slices are equal, and one whose left bag is not a
-    sub-multiset of the right one fails (`rel_bag`'s borrow test).
+    with a fresh memo for every call, so no node is read; a subtree's
+    children start one past it and at each child's end, and its end and
+    bag come from `signature._subtree_spans`.  H implies S and B, so a
+    subproblem whose left subtree is not smaller holds only when the two
+    code slices are equal, and one whose left bag is not a sub-multiset of
+    the right one fails (`rel_bag`'s borrow test).
     """
     guards = t.sig.bag_guards
     if s.size >= t.size or ((t.packed_bag | guards) - s.packed_bag) & guards != guards:

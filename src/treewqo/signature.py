@@ -5,19 +5,26 @@ A Signature is a finite alphabet of constructors, each with a fixed arity
 generator).  A Tree is a finite term over one signature; the number of
 children of every node must equal its constructor's declared arity.
 
-A tree has one of two backings and one identity, its preorder codes.  A
-node-backed tree, which only `Tree()` makes, holds its children and makes
-its codes on first use.  Every other tree the package makes, from
-`parse_tree`, the generator or `monotone_stream`, is code-backed: `_coded`
-makes it from its scaled preorder codes, and its children are built once,
-on first access, through `_build`; no push of a named order, no census
-and no rendering reads them.  Each root eagerly carries size and packed
-constructor bag: `_fill` defines them for nodes, and the makers of
-code-backed trees pass the same two with the codes.  A tree hashes as its
-codes and equal trees have equal codes, so a node-backed tree walks its
-nodes only when something hashes, compares or traverses it.  Only
-`Tree()` checks arity and signature.  One `_build` call shares one leaf
-per nullary constructor, and no node outlives its call in any cache.
+A tree has one of two backings and one identity, its preorder codes.
+Only `Tree()` makes a node-backed tree: it checks arity and signature,
+holds the children and walks them to its codes on first use.  Every
+other tree the package makes, from `parse_tree`, the generator or
+`monotone_stream`, is code-backed, made by `_coded` from its scaled
+preorder codes.  Its children are built once, on first access, by one
+`_build` call, which shares one leaf per nullary constructor within that
+call only; no push of a named order, no census and no rendering reads
+them.  Each root eagerly carries size and packed bag: `_fill` defines
+them for nodes, and the makers of code-backed trees pass them with the
+codes.
+
+Arities are fixed, so equal codes mean equal trees over one signature.
+A tree hashes as its `pre` tuple and compares its bag, then its codes,
+so the two backings hash and compare alike, and a node-backed tree walks
+its nodes only when something hashes, compares or traverses it.  Int and
+tuple hashes are not salted, so the hash is stable across processes but
+not across Python versions or platforms: it serves in-memory dicts and
+sets and is never persisted; reproducible corpora rest on
+`generate.SplitMix64`.
 
 The packed bag is one int holding a 32-bit field per constructor: the
 count of constructor i sits in bits 32*i .. 32*i + 30, and bit 32*i + 31,
@@ -31,28 +38,16 @@ bits of the fields that count k or more, so the constructor set is the
 bag's support, `bag_at_least(t, 1)`, and the repeated set is
 `bag_at_least(t, k)`.
 
-The traversals are plain tuples of ints, cached once made: `pre` and
-`eul` hold the preorder and Euler traversal codes.  `pre` is walked over
-the nodes of a node-backed tree and held by a code-backed one, and `eul`
-is read off `pre`; `bag` decodes the packed bag into one count per
-constructor on every access.  The order kernels read these fields
-directly; the measure functions decode them into names and symbols:
-`constructor_set` and `repeated_set` return a frozenset of names,
-`constructor_bag` a `ConstructorBag`, and the two traversals a tuple of
-`TraversalSymbol`.  All traversals are iterative, so deep chain-shaped
-trees do not hit the interpreter recursion limit.
-
-Traversal strings use one alphabet for both traversals: the symbol "c
-visited i times" is encoded as ``index(c) * (max_arity + 1) + i``.  A
-preorder string is then exactly the subsequence of the Euler string formed
-by the visit-0 symbols.  Arities are fixed, so equal `pre` means equal
-trees over one signature.
-
-A tree's hash is Python's hash of its `pre` tuple.  Int and tuple hashes
-are not salted, so it is stable across processes, but not across Python
-versions or platforms: it only serves in-memory dicts and sets and must
-never be persisted.  Reproducible corpora rest on `generate.SplitMix64`
-instead.
+`pre` and `eul`, the preorder and Euler traversal codes, are plain
+tuples of ints cached once made; `eul` is read off `pre`, and `bag`
+decodes the packed bag into one count per constructor on every access.
+Both traversals use one alphabet: "c visited i times" is
+``index(c) * (max_arity + 1) + i``, so a preorder string is the
+subsequence of visit-0 symbols of the Euler string.  The order kernels
+read these fields; the measure functions (`constructor_set`,
+`repeated_set`, `constructor_bag`, `pre_traversal`, `euler_traversal`)
+decode them into names and symbols.  All traversals are iterative, so
+deep chain-shaped trees do not hit the interpreter recursion limit.
 """
 
 from __future__ import annotations
@@ -108,9 +103,6 @@ class ParseError(ValueError):
 def _check_constructor(c: Constructor, seen: set[str]) -> None:
     """Raise ValueError if one constructor is invalid, given the names
     before it; adds its name to `seen`."""
-    # a name is one name token of the term grammar (see _tokens); '#' starts
-    # a comment in signature files, and a lone surrogate cannot be written
-    # to a UTF-8 tree file
     name = c.name
     if (_tokens(name) != [name, ""] or name in ("(", ")", ",") or "#" in name
             or any("\ud800" <= ch <= "\udfff" for ch in name)):
@@ -261,18 +253,11 @@ def default_signature() -> Signature:
 
 
 class Tree:
-    """An immutable term over a fixed signature.
-
-    `root` is the constructor index; `children` Trees, kept as a tuple.
-    The constructor validates the root index, the child count and the
-    children's type and signature, then computes size and packed bag in
-    O(arity) from the children's measures; it refuses a tree of 2**31
-    nodes or more, whose counts would not fit their fields.  Such a tree
-    is node-backed: `children` is its primary data and `pre` is walked on
-    first use, such as its first hash.  Every other tree the package makes
-    is backed by its preorder codes (see the module docstring); the two
-    backings hash and compare alike.
-    """
+    """An immutable term over a fixed signature: `root` is the constructor
+    index and `children` a tuple of Trees.  The constructor checks the root
+    index, the child count and the children's type and signature, and
+    refuses a tree of 2**31 nodes or more.  The tree it makes is
+    node-backed; see the module docstring for the backings."""
 
     __slots__ = ("sig", "root", "children", "size", "packed_bag", "_pre", "_eul", "_spans")
 
@@ -393,13 +378,8 @@ def _coded(sig: Signature, codes: Iterable[int], bag: int) -> Tree:
 
 
 def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tree:
-    """Set every field of the node `t` and return it, checking nothing.
-
-    The one definition of the eager measures of a node: size and packed
-    bag, each from the children's in O(arity).  `Tree()` calls it before
-    its size check and `_build` on `_new_tree(Tree)`, having matched arity
-    and signature itself.
-    """
+    """Set every field of the node `t`, its size and packed bag from the
+    children's in O(arity), and return it, checking nothing."""
     t.sig = sig
     t.root = root
     t.children = children
@@ -521,13 +501,10 @@ def size(t: Tree) -> int:
 
 def bag_at_least(t: Tree, k: int) -> int:
     """The guard bits of the fields of t's packed bag that count k or more
-    (k >= 1): the key of Z at k = 1, of Y at its threshold.
-
-    Setting every guard bit and subtracting k from every field leaves a
-    guard bit set iff its count is at least k.  No count exceeds the size,
-    so a k above it selects no field; otherwise k < 2**31 and no field
-    borrows from the next.
-    """
+    (k >= 1): the key of Z at k = 1, of Y at its threshold.  Setting every
+    guard bit and subtracting k from every field leaves a guard bit set iff
+    its count is at least k; no count exceeds the size, so a k above it
+    selects no field, and otherwise k < 2**31 and no field borrows."""
     if k > t.size:
         return 0
     sig = t.sig
@@ -543,6 +520,14 @@ def constructor_set(t: Tree) -> frozenset[str]:
 def repeated_set(t: Tree, k: int = 2) -> frozenset[str]:
     """The names of the constructors occurring at least k times in t (k >= 2)."""
     return _names(t.sig, repeated_mask(t, k))
+
+
+def _check_count(what: str, value: int, least: int) -> None:
+    """Refuse a count that is not an int (bool included) or below `least`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} is not an int: {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 def _check_threshold(k: int) -> None:
@@ -575,10 +560,8 @@ def euler_traversal(t: Tree) -> tuple[TraversalSymbol, ...]:
 
 
 def tree_hash(t: Tree) -> int:
-    """The hash of t's preorder codes, held by a code-backed tree and
-    walked once over a node-backed one.  Equal trees hash equal;
-    collisions are resolved by tree_equal.  Stable across processes but
-    not across Python versions or platforms, so never persist it."""
+    """Python's hash of t's preorder codes; equal trees hash equal.  Never
+    persist it (see the module docstring)."""
     return hash(t.pre)
 
 
@@ -634,22 +617,15 @@ def _opening_name(toks: list[str], at: int) -> int:
 
 
 def parse_tree(text: str, sig: Signature) -> Tree:
-    """Parse one term; whitespace is insignificant.
+    """Parse one term, whitespace insignificant, into a code-backed tree
+    (see the module docstring); it builds no node.
 
     Raises ParseError for unknown constructors, arity mismatches (with the
-    offending constructor's position) and malformed syntax.  The text is
-    split into tokens by `str` builtins (see `_tokens`) and the parser
+    offending constructor's position) and malformed syntax.  The parser
     tracks no position: only an error takes its token index from the
     iterator's remaining length, finds the constructor of a term closed
     with too few or too many children by a backward scan for its "(", and
     turns the index into a character offset (`_offset`).
-
-    The parser checks every name, delimiter and arity itself and builds
-    no node.  It returns a tree backed by its scaled preorder codes, with
-    size and packed bag computed in the same pass, so it hashes and
-    compares equal to the same tree built by `Tree()`.  Its children are
-    built on first access, sharing one leaf per nullary constructor; two
-    parses share no node.
     """
     index = sig._index
     arities = sig.arities

@@ -4,7 +4,9 @@ A checker admits trees one at a time.  A push either admits the tree into
 the growing sequence or blows the whistle, reporting some earlier admitted
 element that is related to (at or below) the new one.  Whistled elements
 do not join the sequence, so the admitted elements always form an
-antichain under the checker's order.
+antichain under the checker's order.  Positions count pushes (admitted
+or not, 0-based); a whistle's witness is the position at which the
+witnessing element was pushed.
 
 `SequenceChecker` decides every push by one rule read off the order
 lattice.  Trees with different `Z`/`Y` keys are unrelated, so the
@@ -27,13 +29,9 @@ first, against the rest of the spec (less `Z`, `Y` and `S`), at most one
 letter of the chain `B`, `P`, `E`, `H`, whose kernel is called directly;
 when nothing is left, any candidate is a witness.
 
-`NaiveChecker` is the differential-testing reference: it scans all
-admitted elements in order and applies the combined relation directly.
-Both checkers must whistle at identical positions on identical streams;
-which witness is reported may differ.
-
-Positions count pushes (admitted or not, 0-based); a whistle's witness is
-the position at which the witnessing element was pushed.
+`NaiveChecker` is the differential-testing reference: both checkers must
+whistle at identical positions on identical streams, though the reported
+witness may differ.
 """
 
 from __future__ import annotations
@@ -119,9 +117,6 @@ class SequenceChecker(_CheckerBase):
     def __init__(self, spec: WqoSpec):
         expanded = spec.expanded
         self._key = partition_key(expanded, spec.y_threshold)
-        # what a tree shares with every equal-size tree related to it:
-        # itself under S, else its bag under B, else its keys; under S the
-        # table is keyed by the bag too, so only a seen bag hashes a tree
         self._same_tree = implies(spec, WqoSpec(frozenset("S")))
         self._by_bag = self._same_tree or implies(spec, WqoSpec(frozenset("B")))
         (letter,) = expanded - KEY_LETTERS - {"S"} or {None}

@@ -169,7 +169,7 @@ def _size_corpora(corpus):
 
 @pytest.mark.parametrize("name", ["small", "twins", "twice"])
 def test_size_matrices_match_pairwise_relations(small_corpus, name):
-    # S and M come from the subtree numbering and the Z key, so the audit's
+    # S and M come from the trees' preorder codes and the Z key, so the audit's
     # M=ZS identity holds by construction; here every entry meets its kernel
     corpus = _size_corpora(small_corpus[0])[name]
     base = census(corpus, [parse_wqo_name("M")]).base_matrices
@@ -190,9 +190,9 @@ def test_census_makes_no_pairwise_call(monkeypatch, small_corpus):
       one bit-parallel scan per right string;
     - `rel_size`, `rel_sized_set`: 576 calls each took `S` 139 us and
       `M` 335 us, `M` recomputing both trees' supports on every smaller
-      pair; the subtree numbering that `H` makes anyway decides both;
+      pair; one outer `<` of the sizes and equal preorder codes decide both;
     - `signature._build`: a numbering that walked `children` built every
-      node of a parsed corpus for an `S`- or `M`-only census.
+      node of a parsed corpus for an `H` census.
     """
     corpus, cfg = small_corpus
     expected = census(corpus)
@@ -289,6 +289,24 @@ def test_m_only_census_keeps_its_expansion(small_corpus):
     base = census(corpus, [parse_wqo_name("M")]).base_matrices
     assert set(base) == {"M", "Z", "S"}
     assert (base["M"] == (base["Z"] & base["S"])).all()
+
+
+@pytest.mark.parametrize("name", [pytest.param(None, id="all"), "H",
+                                  "S", "Z", "Y", "B", "M", "P", "E", "SB", "ZP"])
+def test_only_h_numbers_subtrees(monkeypatch, small_corpus, name):
+    """A census numbers the corpus's subtrees once if it names H, else never:
+    S compares preorder codes, and the numbering serves H's table alone."""
+    calls = []
+    number = CENSUS._number_subtrees
+
+    def counting(corpus):
+        calls.append(len(corpus))
+        return number(corpus)
+
+    monkeypatch.setattr(CENSUS, "_number_subtrees", counting)
+    corpus, _ = small_corpus
+    census(corpus, name and [parse_wqo_name(name)])
+    assert len(calls) == (name is None or "H" in name)
 
 
 CHECKED = "SBPEH"
