@@ -39,11 +39,15 @@ bag's support, `bag_at_least(t, 1)`, and the repeated set is
 `bag_at_least(t, k)`.
 
 `pre` and `eul`, the preorder and Euler traversal codes, are plain
-tuples of ints cached once made; `eul` is read off `pre`, and `bag`
-decodes the packed bag into one count per constructor on every access.
-Both traversals use one alphabet: "c visited i times" is
-``index(c) * (max_arity + 1) + i``, so a preorder string is the
-subsequence of visit-0 symbols of the Euler string.  The order kernels
+tuples of ints cached once made, and `bag` decodes the packed bag into
+one count per constructor on every access.  Both traversals use one
+alphabet: "c visited i times" is ``index(c) * (max_arity + 1) + i``, so
+a preorder string is the subsequence of visit-0 symbols of the Euler
+string.  A node's last visit, at i = arity(c), closes it: the Euler walk
+of `pre` follows each last visit by the next visit of the innermost open
+node.  The text form is that walk, one token per visit: a first visit is
+the name, with "(" if the node has children, the last visit of a node
+with children is ")", and every other visit is ",".  The order kernels
 read these fields; the measure functions (`constructor_set`,
 `repeated_set`, `constructor_bag`, `pre_traversal`, `euler_traversal`)
 decode them into names and symbols.  All traversals are iterative, so
@@ -162,6 +166,11 @@ class Signature:
         codes = range(0, len(ctors) * self.sym_stride, self.sym_stride)
         self._code_arity = dict(zip(codes, self.arities))
         self._code_unit = dict(zip(codes, self.bag_units))
+        # the Euler walk's last visits and the text of every visit but ","
+        self._last_visits = frozenset(c + a for c, a in zip(codes, self.arities))
+        self._eul_text = {c + a: ")" for c, a in zip(codes, self.arities) if a}
+        self._eul_text.update((c, n + "(" if a else n)
+                              for c, n, a in zip(codes, self.names, self.arities))
 
     def __len__(self) -> int:
         return len(self.constructors)
@@ -326,29 +335,31 @@ class Tree:
 
     @property
     def eul(self) -> tuple[int, ...]:
-        """Read off the preorder codes: a node's visit-i code ends its i-th child."""
+        """The Euler walk of the preorder codes (see the module docstring)."""
         if self._eul is None:
-            stride = self.sig.sym_stride
-            arities = self.sig.arities
-            code_arity = self.sig._code_arity
-            codes = []
-            pending = []  # the next code of every node with children to finish
-            for c in self.pre:
-                codes.append(c)
-                if code_arity[c]:
-                    pending.append(c + 1)
-                    continue
-                while pending:
-                    c = pending.pop()
-                    codes.append(c)
-                    if c % stride != arities[c // stride]:
-                        pending.append(c + 1)
-                        break
-            self._eul = tuple(codes)
+            self._eul = _euler_walk(self.sig, self.pre)
         return self._eul
 
 
 _new_tree = Tree.__new__
+
+
+def _euler_walk(sig: Signature, pre: tuple[int, ...]) -> tuple[int, ...]:
+    """The Euler codes of the preorder codes `pre`: after each last visit,
+    the next visit of the innermost open node follows."""
+    last = sig._last_visits
+    codes = []
+    pending = []  # the next visit code of every open node
+    for c in pre:
+        codes.append(c)
+        while c in last:
+            if not pending:
+                break  # the root's last visit
+            c = pending.pop()
+            codes.append(c)
+        else:
+            pending.append(c + 1)
+    return tuple(codes)
 
 
 class _CodedTree(Tree):
@@ -684,29 +695,11 @@ def parse_tree(text: str, sig: Signature) -> Tree:
 
 
 def render_tree(t: Tree) -> str:
-    """Canonical text form; parse_tree(render_tree(t)) == t.  Read off the
-    preorder codes with a stack of the children each open term still
-    lacks, so rendering a code-backed tree builds no node."""
-    sig = t.sig
-    names, stride, code_arity = sig.names, sig.sym_stride, sig._code_arity
-    out = []
-    lacking: list[int] = []
-    for c in t.pre:
-        out.append(names[c // stride])
-        arity = code_arity[c]
-        if arity:
-            out.append("(")
-            lacking.append(arity)
-            continue
-        # a leaf closes every open term it completes
-        while lacking:
-            lacking[-1] -= 1
-            if lacking[-1]:
-                out.append(",")
-                break
-            lacking.pop()
-            out.append(")")
-    return "".join(out)
+    """Canonical text form; parse_tree(render_tree(t)) == t.  One token per
+    Euler code (see the module docstring); it builds no node and caches
+    nothing on t."""
+    text = t.sig._eul_text
+    return "".join([text.get(c, ",") for c in t._eul or _euler_walk(t.sig, t.pre)])
 
 
 # ---------------------------------------------------------------------------

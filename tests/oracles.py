@@ -1,8 +1,9 @@
 """Independent reference implementations used only to cross-check the
 package: a table-filling subsequence decision, a direct, memo-free
 recursive embedding check, a node-counting constructor bag, recursive
-preorder and Euler traversals, a one-regex term tokenizer, a one-regex
-name check and a recursive-descent term parser.  Kept deliberately naive."""
+preorder and Euler traversals and rendering, a one-regex term tokenizer,
+a one-regex name check and a recursive-descent term parser.  Kept
+deliberately naive."""
 
 import re
 from collections import Counter
@@ -66,6 +67,13 @@ def naive_euler(t) -> list[tuple[int, int]]:
         out += naive_euler(child)
         out.append((t.root, visit))
     return out
+
+
+def naive_render(t) -> str:
+    """The canonical text of t, by direct recursion."""
+    if not t.children:
+        return t.name
+    return t.name + "(" + ",".join(naive_render(child) for child in t.children) + ")"
 
 
 def regex_tokens(text: str) -> list[tuple[str, int]]:

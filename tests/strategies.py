@@ -9,6 +9,9 @@ SIG = default_signature()
 # multi-character names, two of them nullary
 MULTI_SIG = Signature([("nil", 0), ("x1", 0), ("wrap", 1), ("cons", 2), ("t3", 3)])
 
+# nullary constructors only: stride 1, so every visit code is a last visit
+NULLARY_SIG = Signature([("x", 0), ("y", 0), ("z", 0)])
+
 
 @st.composite
 def trees(draw, max_depth=4):

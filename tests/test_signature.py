@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,8 @@ from treewqo import (
 from treewqo import signature
 from treewqo.signature import _build, _check_constructor, _offset, _tokens
 
-from .oracles import naive_euler, naive_parse, regex_is_name, regex_tokens
-from .strategies import MULTI_SIG, trees, trees_over
+from .oracles import naive_euler, naive_parse, naive_render, regex_is_name, regex_tokens
+from .strategies import MULTI_SIG, NULLARY_SIG, trees, trees_over
 
 
 # what term text is made of: delimiters, names, every whitespace class and
@@ -229,6 +230,14 @@ class TestParsing:
                 assert leaves.setdefault(node.root, node) is node
         again = parse_tree(text, t.sig)
         assert not {id(n) for n in got} & {id(n) for n in again.nodes()}
+
+    @given(t=st.one_of(trees(), trees_over(MULTI_SIG), trees_over(NULLARY_SIG)))
+    @settings(max_examples=200)
+    def test_render_matches_recursive_oracle(self, t):
+        # the round trip cannot pin the exact text, such as stray whitespace
+        want = naive_render(t)
+        for u in (t, parse_tree(want, t.sig)):
+            assert render_tree(u) == want
 
     def test_render_examples(self, sig, worked):
         assert render_tree(parse_tree("a", sig)) == "a"
@@ -535,7 +544,7 @@ class TestMeasureProperties:
     def test_euler_length_of_b(self, worked):
         assert len(euler_traversal(worked["B"])) == 9
 
-    @given(t=st.one_of(trees(), trees_over(MULTI_SIG)))
+    @given(t=st.one_of(trees(), trees_over(MULTI_SIG), trees_over(NULLARY_SIG)))
     @settings(max_examples=200)
     def test_euler_matches_recursive_oracle(self, t):
         # one `eul` reads the codes of either backing; t is built by Tree()
@@ -614,6 +623,25 @@ def test_rendering_parsed_trees_builds_no_node(monkeypatch, tmp_path, sig):
     path = tmp_path / "trees.txt"
     save_trees(path, trees)
     assert path.read_text(encoding="utf-8").splitlines() == texts
+    # nor do they cache the Euler codes they walk
+    assert all(t._eul is None for t in trees)
+
+
+def test_tables_do_not_grow_with_arity():
+    # the Signature tables hold a few entries per constructor, so a huge
+    # arity costs nothing to parse, render or walk with; no census here,
+    # whose P/E scan counts every code up to the largest one used
+    tracemalloc.start()
+    try:
+        big = Signature([("a", 0), ("b", 1), ("g", 10**7)])
+        t = parse_tree("b(b(a))", big)
+        assert render_tree(t) == "b(b(a))"
+        b0 = big.sym_stride
+        assert t.eul == (b0, b0, 0, b0 + 1, b0 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_deep_tree_no_recursion_limit(sig):
@@ -627,6 +655,7 @@ def test_deep_tree_no_recursion_limit(sig):
     chain = Tree(sig, 0)
     for _ in range(n):
         chain = Tree(sig, 1, (chain,))
+    assert render_tree(chain) == deep
     # b visited 0 times n times, the leaf a, then b visited once n times
     b0, b1 = sig.sym_stride, sig.sym_stride + 1
     assert chain.eul == (b0,) * n + (0,) + (b1,) * n == t.eul
