@@ -17,18 +17,30 @@ platforms and implementations:
     output := z XOR z>>31
 
 Uniform [0, 1) variates take the top 53 bits.  Constructors are chosen by
-inverse CDF in signature order.  A draw that would exceed `size_cap` is
-abandoned at the pick that would exceed it, which is never drawn, and
-redrawn from scratch (the already-consumed randomness is not rewound,
-keeping the sequence deterministic).  Only accepted draws become trees.
+inverse CDF in signature order, one pick per node in preorder.  A draw
+that would exceed `size_cap` is abandoned at the pick that would exceed
+it, which is never drawn, and redrawn from scratch (the already-consumed
+randomness is not rewound, keeping the sequence deterministic).  Only
+accepted draws become trees.
+
+The generator is counter-based: the k-th output from state s mixes
+s + k * 0x9E3779B97F4A7C15 mod 2^64 and depends on no other output
+(Steele, Lea and Flood, "Fast splittable pseudorandom number
+generators", OOPSLA 2014).  So picks are drawn in numpy blocks, each
+block one array expression, and one Python loop walks them into draws.
+Picks drawn ahead and not used are never counted: after each draw
+`rng.state` has advanced one step per pick consumed, just as one
+`next_float` per pick leaves it.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from typing import Iterator
+
+import numpy as np
 
 from .signature import Signature, Tree, _check_count, _coded, default_signature
 
@@ -36,11 +48,16 @@ __all__ = ["SplitMix64", "GeneratorConfig", "random_tree", "generate_corpus",
            "default_config"]
 
 _MASK64 = (1 << 64) - 1
+# the state increment and the two multipliers of the output mix
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
     """Minimal deterministic PRNG; see the module docstring for the state
-    transition."""
+    transition.  `next_u64` and `next_float` define the sequence; the
+    generator reads it in blocks, as the module docstring says."""
 
     __slots__ = ("state",)
 
@@ -48,10 +65,10 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -101,38 +118,68 @@ class GeneratorConfig:
 
 _RETRY_LIMIT = 1_000_000
 
+# picks per block: the first block is small, so that one `random_tree`
+# stays cheap, and each next one doubles up to the cap
+_BLOCK_MIN, _BLOCK_MAX = 32, 4096
 
-def _draw(cfg: GeneratorConfig, rng: SplitMix64) -> tuple[tuple[int, ...], int]:
-    """One accepted draw's scaled preorder codes and packed bag; oversize
-    draws are redrawn as the module docstring says, up to the retry limit."""
+
+def _blocks(cdf: np.ndarray, stride: int, state: int) -> Iterator[list[int]]:
+    """The scaled preorder codes of the constructors picked after `state`,
+    endlessly, in blocks.  A block is one array expression equal to one
+    `next_float` per pick; no `SplitMix64` is advanced."""
+    n = _BLOCK_MIN
+    while True:
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * (1.0 / (1 << 53))
+        # clamped against rounding of the last sum below 1
+        roots = np.minimum(np.searchsorted(cdf, u, "right"), len(cdf) - 1)
+        yield (roots * stride).tolist()
+        state = (state + n * _GAMMA) & _MASK64
+        n = min(2 * n, _BLOCK_MAX)
+
+
+def _draws(cfg: GeneratorConfig, rng: SplitMix64) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Accepted draws' scaled preorder codes and packed bags, endlessly;
+    oversize draws are redrawn as the module docstring says, up to the
+    retry limit for each accepted draw.  After every attempt, `rng.state`
+    counts the picks consumed."""
     sig = cfg.signature
-    cdf = list(accumulate(sig.probabilities))
-    last = len(cdf) - 1
-    arities, units, stride = sig.arities, sig.bag_units, sig.sym_stride
-    cap = cfg.size_cap
-    for _ in range(_RETRY_LIMIT):
-        codes, bag, open_slots = [], 0, 1
-        while open_slots and len(codes) < cap:
-            # clamped against rounding of the last sum below 1
-            root = min(bisect_right(cdf, rng.next_float()), last)
-            codes.append(root * stride)
-            bag += units[root]
-            open_slots += arities[root] - 1
+    cdf = np.array(list(accumulate(sig.probabilities)))
+    slots = {code: arity - 1 for code, arity in sig._code_arity.items()}
+    unit, cap = sig._code_unit, cfg.size_cap
+    start, used, oversize = rng.state, 0, 0
+    picks = chain.from_iterable(_blocks(cdf, sig.sym_stride, start))
+    while True:
+        codes, open_slots = [], 1
+        for code in picks:
+            codes.append(code)
+            open_slots += slots[code]
+            if not open_slots or len(codes) == cap:
+                break
+        used += len(codes)
+        rng.state = (start + used * _GAMMA) & _MASK64
         if not open_slots:
-            return tuple(codes), bag
-    raise RuntimeError(f"gave up after {_RETRY_LIMIT} oversize draws (cap {cfg.size_cap})")
+            yield tuple(codes), sum(map(unit.__getitem__, codes))
+            oversize = 0
+        else:
+            oversize += 1
+            if oversize == _RETRY_LIMIT:
+                raise RuntimeError(
+                    f"gave up after {_RETRY_LIMIT} oversize draws (cap {cfg.size_cap})")
 
 
 def random_tree(cfg: GeneratorConfig, rng: SplitMix64) -> Tree:
     """One code-backed tree from the configured distribution."""
-    return _coded(cfg.signature, *_draw(cfg, rng))
+    return _coded(cfg.signature, *next(_draws(cfg, rng)))
 
 
 def generate_corpus(cfg: GeneratorConfig) -> list[Tree]:
     """`corpus_size` trees in draw order, pairwise distinct when
     `cfg.distinct`, deterministic in the seed.  Duplicates are told apart
     by their preorder codes, before any tree is made."""
-    rng = SplitMix64(cfg.seed)
+    draws = _draws(cfg, SplitMix64(cfg.seed))
     corpus: list[Tree] = []
     seen: set[tuple[int, ...]] = set()
     attempts = 0
@@ -142,7 +189,7 @@ def generate_corpus(cfg: GeneratorConfig) -> list[Tree]:
             raise RuntimeError(
                 f"could not draw {cfg.corpus_size} distinct trees in {_RETRY_LIMIT} attempts"
             )
-        codes, bag = _draw(cfg, rng)
+        codes, bag = next(draws)
         if cfg.distinct:
             if codes in seen:
                 continue

@@ -18,7 +18,7 @@ checker needs no conjunction, as the lattice leaves it one kernel at most.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import le
 from typing import Callable
 
@@ -102,7 +102,7 @@ class WqoSpec:
         _check_threshold(self.y_threshold)
         object.__setattr__(self, "components", _canonicalize(frozenset(self.components)))
 
-    @property
+    @cached_property
     def name(self) -> str:
         return "".join(c for c in _DISPLAY_ORDER if c in self.components)
 

@@ -2,13 +2,15 @@
 package: a table-filling subsequence decision, a direct, memo-free
 recursive embedding check, a node-counting constructor bag, recursive
 preorder and Euler traversals and rendering, a one-regex term tokenizer,
-a one-regex name check and a recursive-descent term parser.  Kept
-deliberately naive."""
+a one-regex name check, a recursive-descent term parser and a
+one-pick-at-a-time tree generator.  Kept deliberately naive."""
 
 import re
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
-from treewqo import Tree
+from treewqo import SplitMix64, Tree
 
 # one term token per match; the empty match at the end stands for end of input
 _TERM_TOKEN = re.compile(r"[(),]|[^\s(),]+|\Z")
@@ -134,3 +136,40 @@ def naive_parse(text: str, sig):
     except Failed as exc:
         return exc.args
     return t
+
+
+def naive_draw(cfg, rng, limit) -> tuple[int, ...]:
+    """The root indices, in preorder, of one accepted draw of the branching
+    process: one scalar `rng.next_float()` and one `bisect_right` per node.
+    A draw is abandoned at the pick that would exceed the size cap and
+    redrawn, `limit` times at most."""
+    sig = cfg.signature
+    cdf = list(accumulate(sig.probabilities))
+    for _ in range(limit):
+        roots, open_slots = [], 1
+        while open_slots and len(roots) < cfg.size_cap:
+            root = min(bisect_right(cdf, rng.next_float()), len(cdf) - 1)
+            roots.append(root)
+            open_slots += sig.arities[root] - 1
+        if not open_slots:
+            return tuple(roots)
+    raise RuntimeError(f"gave up after {limit} oversize draws (cap {cfg.size_cap})")
+
+
+def naive_corpus(cfg, limit) -> list[tuple[int, ...]]:
+    """`naive_draw`s from the seed until `cfg.corpus_size` are kept, all of
+    them or only the first of equal ones, after `limit` draws at most."""
+    rng = SplitMix64(cfg.seed)
+    corpus, seen = [], set()
+    for _ in range(limit):
+        if len(corpus) == cfg.corpus_size:
+            break
+        roots = naive_draw(cfg, rng, limit)
+        if cfg.distinct and roots in seen:
+            continue
+        seen.add(roots)
+        corpus.append(roots)
+    if len(corpus) < cfg.corpus_size:
+        raise RuntimeError(
+            f"could not draw {cfg.corpus_size} distinct trees in {limit} attempts")
+    return corpus

@@ -1,6 +1,10 @@
 import hashlib
+from itertools import chain, islice
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treewqo import (
     GeneratorConfig,
@@ -12,6 +16,9 @@ from treewqo import (
     random_tree,
     render_tree,
 )
+from treewqo import generate
+
+from .oracles import naive_corpus, naive_draw
 
 
 def test_splitmix_reference_values():
@@ -142,3 +149,138 @@ class TestFixedCorpora:
         assert _digest(trees) == \
             "640c48b3f131314d2318e29849a61e8b9d4e2250ff2252420416f2b9d55976ec"
         assert rng.next_u64() == 2263245051702344258
+
+
+# the oracle's signatures: m = 0.95, 0, 0.8 with a constructor never
+# picked, and 0.999
+ORACLE_SIGS = {
+    "default": default_signature(),
+    "all-leaf": Signature([("x", 0, 0.3), ("y", 0, 0.7)]),
+    "zero-probability": Signature([("a", 0, 0.6), ("b", 1, 0.0), ("c", 2, 0.4)]),
+    "near-critical": Signature([("a", 0, 0.5005), ("c", 2, 0.4995)]),
+}
+
+# small enough that corpora with too few distinct trees fail fast
+ORACLE_LIMIT = 40
+
+SEEDS = st.sampled_from([0, 2**64 - 1, -1]) | st.integers(-2**70, 2**70)
+
+
+def _roots(t):
+    """The root indices of a generated tree, checked against its bag."""
+    roots = tuple(code // t.sig.sym_stride for code in t.pre)
+    assert t.bag == tuple(roots.count(i) for i in range(len(t.sig)))
+    return roots
+
+
+def _outcome(draw):
+    try:
+        return draw()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def _picks_consumed(rng, start):
+    return (rng.state - start) * pow(generate._GAMMA, -1, 1 << 64) % (1 << 64)
+
+
+class TestAgainstNaive:
+    """The block draw equals one `next_float` and one bisect per node:
+    every tree, every error, and `rng.state` after every call."""
+
+    @pytest.mark.parametrize("name", ORACLE_SIGS)
+    @pytest.mark.parametrize("cap", [1, 2, 5, 200])
+    @given(seed=SEEDS, calls=st.integers(1, 12))
+    @example(seed=0, calls=12)
+    @example(seed=2**64 - 1, calls=12)
+    @example(seed=-1, calls=12)
+    @settings(max_examples=15, deadline=None)
+    def test_random_tree(self, name, cap, seed, calls):
+        cfg = GeneratorConfig(ORACLE_SIGS[name], seed, size_cap=cap)
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(calls):
+            assert _roots(random_tree(cfg, rng)) == naive_draw(cfg, ref, generate._RETRY_LIMIT)
+            assert rng.state == ref.state
+
+    @pytest.mark.parametrize("name", ORACLE_SIGS)
+    @pytest.mark.parametrize("cap", [1, 2, 5, 200])
+    @pytest.mark.parametrize("distinct", [True, False])
+    @given(seed=SEEDS, size=st.integers(0, 12))
+    @example(seed=0, size=12)
+    @example(seed=2**64 - 1, size=12)
+    @example(seed=-1, size=12)
+    @settings(max_examples=10, deadline=None)
+    def test_generate_corpus(self, name, cap, distinct, seed, size):
+        cfg = GeneratorConfig(ORACLE_SIGS[name], seed, size, size_cap=cap, distinct=distinct)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generate, "_RETRY_LIMIT", ORACLE_LIMIT)
+            got = _outcome(lambda: [_roots(t) for t in generate_corpus(cfg)])
+        assert got == _outcome(lambda: naive_corpus(cfg, ORACLE_LIMIT))
+
+    def test_draws_span_blocks(self):
+        # m = 0.999 and a large cap: one tree outgrows two of the largest blocks
+        cfg = GeneratorConfig(ORACLE_SIGS["near-critical"], 2, 40, size_cap=30_000,
+                              distinct=False)
+        corpus = generate_corpus(cfg)
+        assert max(t.size for t in corpus) > 2 * generate._BLOCK_MAX
+        assert [_roots(t) for t in corpus] == naive_corpus(cfg, generate._RETRY_LIMIT)
+        rng, ref = SplitMix64(2), SplitMix64(2)
+        for _ in range(40):
+            assert _roots(random_tree(cfg, rng)) == naive_draw(cfg, ref, generate._RETRY_LIMIT)
+            assert rng.state == ref.state
+
+    def test_oversize_draw_abandoned_at_a_block_end(self):
+        # a cap of one first block: seed 12's first draw is abandoned at its
+        # last pick, and the accepted draw starts the second block
+        cfg = GeneratorConfig(default_signature(), 12, 3, size_cap=generate._BLOCK_MIN,
+                              distinct=False)
+        rng, ref = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        t = random_tree(cfg, rng)
+        assert _picks_consumed(rng, cfg.seed) == generate._BLOCK_MIN + t.size
+        assert _roots(t) == naive_draw(cfg, ref, generate._RETRY_LIMIT)
+        assert rng.state == ref.state
+        assert [_roots(t) for t in generate_corpus(cfg)] == \
+            naive_corpus(cfg, generate._RETRY_LIMIT)
+
+    def test_interleaved_with_scalar_calls(self):
+        cfg = GeneratorConfig(default_signature(), 5, size_cap=50)
+        rng, ref = SplitMix64(5), SplitMix64(5)
+        for _ in range(30):
+            assert _roots(random_tree(cfg, rng)) == naive_draw(cfg, ref, generate._RETRY_LIMIT)
+            assert rng.next_u64() == ref.next_u64()
+            assert _roots(random_tree(cfg, rng)) == naive_draw(cfg, ref, generate._RETRY_LIMIT)
+            assert rng.next_float() == ref.next_float()
+        assert rng.state == ref.state
+
+    @pytest.mark.parametrize("state", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+    def test_blocks_are_next_float(self, state):
+        # 10 000 picks run into the second block of the largest size
+        sig = default_signature()
+        rng = SplitMix64(state)
+        expected = [min(int(rng.next_float() * 4), 3) * sig.sym_stride for _ in range(10_000)]
+        blocks = generate._blocks(np.array([0.25, 0.5, 0.75, 1.0]), sig.sym_stride, state)
+        assert list(islice(chain.from_iterable(blocks), 10_000)) == expected
+
+
+class TestRetryLimit:
+    def test_oversize_draws(self, monkeypatch):
+        monkeypatch.setattr(generate, "_RETRY_LIMIT", 4)
+        with pytest.warns(UserWarning, match="branching factor"):
+            cfg = GeneratorConfig(Signature([("a", 0, 0.0), ("b", 1, 1.0)]), 9, 1, size_cap=3)
+        rng = SplitMix64(cfg.seed)
+        message = "gave up after 4 oversize draws (cap 3)"
+        with pytest.raises(RuntimeError) as exc:
+            random_tree(cfg, rng)
+        assert str(exc.value) == message
+        assert _picks_consumed(rng, cfg.seed) == 4 * 3
+        with pytest.raises(RuntimeError) as exc:
+            generate_corpus(cfg)
+        assert str(exc.value) == message
+
+    def test_too_few_distinct_trees(self, monkeypatch):
+        monkeypatch.setattr(generate, "_RETRY_LIMIT", 5)
+        cfg = GeneratorConfig(Signature([("x", 0, 1.0)]), 1, 2, distinct=True)
+        with pytest.raises(RuntimeError) as exc:
+            generate_corpus(cfg)
+        assert str(exc.value) == "could not draw 2 distinct trees in 5 attempts"
+        assert len(generate_corpus(GeneratorConfig(cfg.signature, 1, 5, distinct=False))) == 5

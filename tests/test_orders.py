@@ -304,10 +304,18 @@ class TestSpecs:
     def test_registry_has_27(self):
         names = [s.name for s in all_named_specs()]
         assert len(names) == len(set(names)) == 27
+        assert " ".join(names) == ("B E H M P S Y Z MB SB YB YE YH YM YP YS YZ ZB ZE ZH ZP "
+                                   "YMB YSB YZB YZE YZH YZP")
         for expected in ["S", "H", "Z", "Y", "B", "M", "P", "E", "SB", "ZH", "ZE",
                          "ZP", "ZB", "MB", "YS", "YH", "YZ", "YB", "YM", "YP", "YE",
                          "YSB", "YZH", "YZE", "YZP", "YZB", "YMB"]:
             assert expected in names
+
+    def test_cached_name_leaves_identity_alone(self):
+        spec, fresh = parse_wqo_name("SHZY"), parse_wqo_name("yzh")
+        assert spec.name is spec.name == "YZH"
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert repr(spec) == f"WqoSpec(components={spec.components!r}, y_threshold=2)"
 
     @pytest.mark.parametrize("name, calls", [("HZY", "ZYH"), ("MB", "MB"), ("YSB", "SBY")])
     def test_conjunction_runs_kernels_in_letter_order(self, monkeypatch, worked, name, calls):
