@@ -1,7 +1,9 @@
 """Well-quasi orders on trees over fixed-arity signatures: eight base
 orders and their intersections (`orders`), an incremental "whistle"
 sequence checker (`whistle`), a seeded random-tree generator
-(`generate`) and a discriminative-power census (`census`).
+(`generate`) and a discriminative-power census (`census`).  numpy serves
+the census and the generator alone and loads on their first call, so
+`compare`, `whistle`, `bench` and every checker never import it.
 """
 
 # each module's __all__ is its public API; the star import binds

@@ -60,12 +60,14 @@ import sys
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .generate import GeneratorConfig
 from .orders import KEY_LETTERS, WqoSpec, all_named_specs, named_implications, partition_key
 from .signature import Tree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CensusResult", "census", "AuditReport", "hierarchy_audit", "write_census_tsv"]
 
@@ -111,6 +113,7 @@ def _number_subtrees(corpus: list[Tree]) -> tuple[list[tuple[int, ...]], list[in
 
 def _embedding_matrix(keys: list[tuple[int, ...]], height: list[int], ids: list[int]) -> np.ndarray:
     """The H matrix from one table over the numbered subtrees, by height blocks."""
+    import numpy as np
     width = max(map(len, keys))
     table = np.array([key + (0,) * (width - len(key)) for key in keys], dtype=np.intp)
     # renumber by height: each height is then one block of rows
@@ -136,14 +139,15 @@ def _embedding_matrix(keys: list[tuple[int, ...]], height: list[int], ids: list[
 _SCAN_BYTES = 1 << 20
 
 
-def _bits(where: np.ndarray) -> int:
-    """The bools as one int, where[i] its bit i."""
-    return int.from_bytes(np.packbits(where, bitorder="little").tobytes(), "little")
-
-
 def _subsequence_matrix(strings: list[tuple[int, ...]]) -> np.ndarray:
     """m[i, j]: strings[i] is a subsequence of strings[j], for strings of
     small non-negative ints such as traversal codes; see the module docstring."""
+    import numpy as np
+
+    def bits(where: np.ndarray) -> int:
+        """The bools as one int, where[i] its bit i."""
+        return int.from_bytes(np.packbits(where, bitorder="little").tobytes(), "little")
+
     n = len(strings)
     lengths = np.fromiter(map(len, strings), np.intp, n)
     order = np.argsort(lengths, kind="stable")
@@ -155,8 +159,8 @@ def _subsequence_matrix(strings: list[tuple[int, ...]]) -> np.ndarray:
     inside = np.ones(total, dtype=bool)
     inside[lasts] = False
     codes[inside] = np.fromiter(chain.from_iterable([strings[p] for p in order]), np.intp, total - n)
-    masks = {x: _bits(codes == x) for x in np.flatnonzero(np.bincount(codes[inside])).tolist()}
-    starts = _bits(~inside) << 1 | 1  # a field starts above the last bit of the one before
+    masks = {x: bits(codes == x) for x in np.flatnonzero(np.bincount(codes[inside])).tolist()}
+    starts = bits(~inside) << 1 | 1  # a field starts above the last bit of the one before
     # a right string starts only the fields no longer than itself, the bits below its ceiling
     ceilings = np.append(firsts, total)[np.searchsorted(lengths[order], lengths, "right")]
     width = (total + 7) // 8  # the bytes of a state
@@ -178,12 +182,14 @@ def _subsequence_matrix(strings: list[tuple[int, ...]]) -> np.ndarray:
 
 def _equal_keys(keys: Iterable[Hashable]) -> np.ndarray:
     """m[i, j]: the i-th and j-th keys are equal, by numbering the distinct keys."""
+    import numpy as np
     number: dict = {}
     ids = np.array([number.setdefault(key, len(number)) for key in keys], dtype=np.intp)
     return ids[:, None] == ids[None, :]
 
 
 def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarray:
+    import numpy as np
     if letter in KEY_LETTERS:
         return _equal_keys(map(partition_key(letter, y_threshold), corpus))
     if letter == "S":
@@ -291,6 +297,7 @@ class AuditReport:
 def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> AuditReport:
     """Audit a census over all named orders; see the module docstring.
     A partial census needs the corpus, to recompute the missing orders."""
+    import numpy as np
     specs = list(all_named_specs())
     missing = [s.name for s in specs if s.name not in result.matrices]
     if missing or not result.base_matrices:

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterator
 
-import numpy as np
-
 from .signature import Signature, Tree, _check_count, _coded, default_signature
 
 __all__ = ["SplitMix64", "GeneratorConfig", "random_tree", "generate_corpus",
@@ -123,10 +121,12 @@ _RETRY_LIMIT = 1_000_000
 _BLOCK_MIN, _BLOCK_MAX = 32, 4096
 
 
-def _blocks(cdf: np.ndarray, stride: int, state: int) -> Iterator[list[int]]:
+def _blocks(cdf: list[float], stride: int, state: int) -> Iterator[list[int]]:
     """The scaled preorder codes of the constructors picked after `state`,
     endlessly, in blocks.  A block is one array expression equal to one
     `next_float` per pick; no `SplitMix64` is advanced."""
+    import numpy as np
+    cdf = np.asarray(cdf)
     n = _BLOCK_MIN
     while True:
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
@@ -146,7 +146,7 @@ def _draws(cfg: GeneratorConfig, rng: SplitMix64) -> Iterator[tuple[tuple[int, .
     retry limit for each accepted draw.  After every attempt, `rng.state`
     counts the picks consumed."""
     sig = cfg.signature
-    cdf = np.array(list(accumulate(sig.probabilities)))
+    cdf = list(accumulate(sig.probabilities))
     slots = {code: arity - 1 for code, arity in sig._code_arity.items()}
     unit, cap = sig._code_unit, cfg.size_cap
     start, used, oversize = rng.state, 0, 0

@@ -263,12 +263,16 @@ def rel_embed(s: Tree, t: Tree) -> bool:
     bag come from `signature._subtree_spans`.  H implies S and B, so a
     subproblem whose left subtree is not smaller holds only when the two
     code slices are equal, and one whose left bag is not a sub-multiset of
-    the right one fails (`rel_bag`'s borrow test).
+    the right one fails (`rel_bag`'s borrow test).  H also implies P, so
+    a pair whose preorder codes fail `is_subsequence` is refused before
+    any spans are made.
     """
     guards = t.sig.bag_guards
     if s.size >= t.size or ((t.packed_bag | guards) - s.packed_bag) & guards != guards:
         return tree_equal(s, t)  # decided at the roots, before any spans are made
     sp, tp = s.pre, t.pre
+    if not is_subsequence(sp, tp):
+        return False  # H implies P, which reads only the codes
     s_ends, s_sums = _subtree_spans(s)
     t_ends, t_sums = _subtree_spans(t)
     width = len(tp)

@@ -178,6 +178,14 @@ class TestBaseRelations:
         assert twin is not s
         assert rel_embed(s, twin) and rel_embed(twin, s)
 
+    def test_embed_refuses_by_preorder_before_spans(self, sig):
+        # the pair passes the root test (smaller, sub-multiset bag) but fails
+        # P, which H implies, so no subtree spans are built for either tree
+        s, t = parse_tree("b(c(a,a))", sig), parse_tree("c(a,b(b(a)))", sig)
+        assert s.size < t.size and rel_bag(s, t) and not rel_preorder(s, t)
+        assert not rel_embed(s, t) and not naive_embeds(s, t)
+        assert s._spans is None and t._spans is None
+
     def test_embed_deep_trees(self, sig):
         shallow = parse_tree("b(" * 2000 + "a" + ")" * 2000, sig)
         deep = parse_tree("b(" * 3000 + "a" + ")" * 3000, sig)
