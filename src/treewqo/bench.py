@@ -40,7 +40,7 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
     sum(m_i * arity_i) = size - 1), extra child slots filled with leaves."""
     *steps, last = [sig.arities[w] for w in wrappers]
     budget = size - 1
-    stride, units = sig.sym_stride, sig.bag_units
+    units = sig.bag_units
     # every count but the last in lexicographic order; the last is what the others leave
     for head in product(*(range(budget // step + 1) for step in steps)):
         rest = budget - sum(m * step for m, step in zip(head, steps))
@@ -50,7 +50,7 @@ def _bag_trees_of_size(sig: Signature, leaf: int, wrappers: list[int], size: int
         # innermost first; in preorder come the wrappers outermost first, then leaves
         chain = [w for w, m in zip(wrappers, counts) for _ in range(m)]
         roots = chain[::-1] + [leaf] * (size - len(chain))
-        yield _coded(sig, [r * stride for r in roots], sum(map(units.__getitem__, roots)))
+        yield _coded(sig, roots, sum(map(units.__getitem__, roots)))
 
 
 def monotone_stream(sig: Signature, n: int, tree_size: int) -> list[Tree]:

@@ -12,7 +12,7 @@ column of pairs per scan.  M (= Z AND S) and the combined orders are
 conjunctions of their component matrices, which is their definition.
 
 For H alone, the corpus's distinct subtrees are numbered by the key
-(root code, *child numbers), in one backward pass over each tree's
+(root index, *child numbers), in one backward pass over each tree's
 preorder codes, so no census reads a node.  The table then applies the
 coupling and diving rules of `orders.rel_embed` to every pair of numbered
 subtrees (Kilpeläinen & Mannila, "Ordered and unordered tree inclusion",
@@ -20,7 +20,7 @@ subtrees (Kilpeläinen & Mannila, "Ordered and unordered tree inclusion",
 reads only rows and columns below it, filled in place by a few numpy
 operations; number 0 is a pad of height -1 for a missing child, which
 embeds only in itself.  The table takes D*D bools for D distinct
-subtrees.  It numbers subtrees by root code, so a corpus must use one
+subtrees.  It numbers subtrees by root index, so a corpus must use one
 signature.
 
 P and E run the greedy subsequence scan bit-parallel, after Shift-And
@@ -87,16 +87,16 @@ class CensusResult:
 
 
 def _number_subtrees(corpus: list[Tree]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Number the distinct subtrees by (root code, *child numbers): the keys
+    """Number the distinct subtrees by (root index, *child numbers): the keys
     in number order, their heights, and the numbers of the corpus trees."""
     number: dict[tuple[int, ...], int] = {(-1,): 0}  # key -> number; 0 pads
     height = [-1]
     ids = []
     for t in corpus:
-        code_arity = t.sig._code_arity
+        arities = t.sig.arities
         done: list[int] = []  # the numbers of the finished subtrees, the leftmost last
         for c in reversed(t.pre):
-            arity = code_arity[c]
+            arity = arities[c]
             if arity:
                 key = (c, *done[:-arity - 1:-1])
                 del done[-arity:]

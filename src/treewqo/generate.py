@@ -121,9 +121,9 @@ _RETRY_LIMIT = 1_000_000
 _BLOCK_MIN, _BLOCK_MAX = 32, 4096
 
 
-def _blocks(cdf: list[float], stride: int, state: int) -> Iterator[list[int]]:
-    """The scaled preorder codes of the constructors picked after `state`,
-    endlessly, in blocks.  A block is one array expression equal to one
+def _blocks(cdf: list[float], state: int) -> Iterator[list[int]]:
+    """The indices of the constructors picked after `state`, endlessly,
+    in blocks.  A block is one array expression equal to one
     `next_float` per pick; no `SplitMix64` is advanced."""
     import numpy as np
     cdf = np.asarray(cdf)
@@ -135,22 +135,22 @@ def _blocks(cdf: list[float], stride: int, state: int) -> Iterator[list[int]]:
         u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * (1.0 / (1 << 53))
         # clamped against rounding of the last sum below 1
         roots = np.minimum(np.searchsorted(cdf, u, "right"), len(cdf) - 1)
-        yield (roots * stride).tolist()
+        yield roots.tolist()
         state = (state + n * _GAMMA) & _MASK64
         n = min(2 * n, _BLOCK_MAX)
 
 
 def _draws(cfg: GeneratorConfig, rng: SplitMix64) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Accepted draws' scaled preorder codes and packed bags, endlessly;
+    """Accepted draws' preorder codes and packed bags, endlessly;
     oversize draws are redrawn as the module docstring says, up to the
     retry limit for each accepted draw.  After every attempt, `rng.state`
     counts the picks consumed."""
     sig = cfg.signature
     cdf = list(accumulate(sig.probabilities))
-    slots = {code: arity - 1 for code, arity in sig._code_arity.items()}
-    unit, cap = sig._code_unit, cfg.size_cap
+    slots = [arity - 1 for arity in sig.arities]
+    unit, cap = sig.bag_units, cfg.size_cap
     start, used, oversize = rng.state, 0, 0
-    picks = chain.from_iterable(_blocks(cdf, sig.sym_stride, start))
+    picks = chain.from_iterable(_blocks(cdf, start))
     while True:
         codes, open_slots = [], 1
         for code in picks:

@@ -9,8 +9,8 @@ A tree has one of two backings and one identity, its preorder codes.
 Only `Tree()` makes a node-backed tree: it checks arity and signature,
 holds the children and walks them to its codes on first use.  Every
 other tree the package makes, from `parse_tree`, the generator or
-`monotone_stream`, is code-backed, made by `_coded` from its scaled
-preorder codes.  Its children are built once, on first access, by one
+`monotone_stream`, is code-backed, made by `_coded` from its preorder
+codes.  Its children are built once, on first access, by one
 `_build` call, which shares one leaf per nullary constructor within that
 call only; no push of a named order, no census and no rendering reads
 them.  Each root eagerly carries size and packed bag: `_fill` defines
@@ -40,18 +40,18 @@ bag's support, `bag_at_least(t, 1)`, and the repeated set is
 
 `pre` and `eul`, the preorder and Euler traversal codes, are plain
 tuples of ints cached once made, and `bag` decodes the packed bag into
-one count per constructor on every access.  Both traversals use one
-alphabet: "c visited i times" is ``index(c) * (max_arity + 1) + i``, so
-a preorder string is the subsequence of visit-0 symbols of the Euler
-string.  A node's last visit, at i = arity(c), closes it: the Euler walk
-of `pre` follows each last visit by the next visit of the innermost open
-node.  The text form is that walk, one token per visit: a first visit is
-the name, with "(" if the node has children, the last visit of a node
-with children is ")", and every other visit is ",".  The order kernels
-read these fields; the measure functions (`constructor_set`,
-`repeated_set`, `constructor_bag`, `pre_traversal`, `euler_traversal`)
-decode them into names and symbols.  All traversals are iterative, so
-deep chain-shaped trees do not hit the interpreter recursion limit.
+one count per constructor on every access.  `pre` holds the constructor
+indices in preorder.  An Euler code is "c visited i times", coded as
+``index(c) * (max_arity + 1) + i``.  A node's last visit, at
+i = arity(c), closes it: the Euler walk of `pre` follows each last visit
+by the next visit of the innermost open node.  The text form is that
+walk, one token per visit: a first visit is the name, with "(" if the
+node has children, the last visit of a node with children is ")", and
+every other visit is ",".  The order kernels read these fields; the
+measure functions (`constructor_set`, `repeated_set`, `constructor_bag`,
+`pre_traversal`, `euler_traversal`) decode them into names and symbols.
+All traversals are iterative, so deep chain-shaped trees do not hit the
+interpreter recursion limit.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from __future__ import annotations
 import struct
 from itertools import accumulate
 from operator import length_hint
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Constructor",
@@ -154,7 +154,7 @@ class Signature:
         self.arities = tuple(c.arity for c in ctors)
         self._index = {c.name: i for i, c in enumerate(ctors)}
         self.max_arity = max(self.arities)
-        # symbol stride for traversal-string codes; see module docstring
+        # the stride of Euler codes, and of them only; see module docstring
         self.sym_stride = self.max_arity + 1
         # packed bags: one unit per constructor, a 1 in every field, and
         # every field's guard bit; see module docstring
@@ -162,11 +162,8 @@ class Signature:
         self.bag_ones = sum(self.bag_units)
         self.bag_guards = self.bag_ones << 31
         self._bag_struct = struct.Struct(f"<{len(ctors)}I")
-        # a preorder code's arity and bag unit, read without a division
-        codes = range(0, len(ctors) * self.sym_stride, self.sym_stride)
-        self._code_arity = dict(zip(codes, self.arities))
-        self._code_unit = dict(zip(codes, self.bag_units))
         # the Euler walk's last visits and the text of every visit but ","
+        codes = range(0, len(ctors) * self.sym_stride, self.sym_stride)
         self._last_visits = frozenset(c + a for c, a in zip(codes, self.arities))
         self._eul_text = {c + a: ")" for c, a in zip(codes, self.arities) if a}
         self._eul_text.update((c, n + "(" if a else n)
@@ -323,12 +320,11 @@ class Tree:
     @property
     def pre(self) -> tuple[int, ...]:
         if self._pre is None:
-            stride = self.sig.sym_stride
             codes = []
             stack = [self]
             while stack:
                 node = stack.pop()
-                codes.append(node.root * stride)
+                codes.append(node.root)
                 stack.extend(reversed(node.children))
             self._pre = tuple(codes)
         return self._pre
@@ -347,10 +343,11 @@ _new_tree = Tree.__new__
 def _euler_walk(sig: Signature, pre: tuple[int, ...]) -> tuple[int, ...]:
     """The Euler codes of the preorder codes `pre`: after each last visit,
     the next visit of the innermost open node follows."""
-    last = sig._last_visits
+    last, stride = sig._last_visits, sig.sym_stride
     codes = []
     pending = []  # the next visit code of every open node
     for c in pre:
+        c *= stride
         codes.append(c)
         while c in last:
             if not pending:
@@ -363,7 +360,7 @@ def _euler_walk(sig: Signature, pre: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _CodedTree(Tree):
-    """A tree backed by its scaled preorder codes `_pre`; see `_coded`."""
+    """A tree backed by its preorder codes `_pre`; see `_coded`."""
 
     __slots__ = ()
 
@@ -373,17 +370,17 @@ class _CodedTree(Tree):
         try:
             return Tree.children.__get__(self)  # the base class's slot
         except AttributeError:
-            kids = _build(self.sig, [c // self.sig.sym_stride for c in self._pre]).children
+            kids = _build(self.sig, self._pre).children
             Tree.children.__set__(self, kids)
             return kids
 
 
 def _coded(sig: Signature, codes: Iterable[int], bag: int) -> Tree:
-    """The code-backed tree of scaled preorder codes `codes` and packed bag
-    `bag`, both unchecked; every tree not made by `Tree()` is made here."""
+    """The code-backed tree of preorder codes `codes` and packed bag `bag`,
+    both unchecked; every tree not made by `Tree()` is made here."""
     t = _new_tree(_CodedTree)
     t._pre = codes = tuple(codes)
-    t.sig, t.root, t.size, t.packed_bag = sig, codes[0] // sig.sym_stride, len(codes), bag
+    t.sig, t.root, t.size, t.packed_bag = sig, codes[0], len(codes), bag
     t._eul = t._spans = None
     return t
 
@@ -405,10 +402,10 @@ def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tre
     return t
 
 
-def _build(sig: Signature, roots: list[int]) -> Tree:
+def _build(sig: Signature, roots: Sequence[int]) -> Tree:
     """The tree with constructor indices `roots` in preorder, which must
     match every arity (unchecked).  Filled bottom-up over the reversed
-    list, without recursion; one leaf per nullary constructor per call."""
+    indices, without recursion; one leaf per nullary constructor per call."""
     arities = sig.arities
     leaves: dict[int, Tree] = {}
     stack: list[Tree] = []
@@ -430,15 +427,15 @@ def _subtree_spans(t: Tree) -> tuple[list[int], list[int]]:
     packed bag is `sums[ends[i]] - sums[i]`; made once and cached on t."""
     spans = t._spans
     if spans is None:
-        code_arity = t.sig._code_arity
+        arities = t.sig.arities
         pre = t.pre
         ends = [0] * len(pre)
         done: list[int] = []  # ends of the finished subtrees, the leftmost last
         for i in range(len(pre) - 1, -1, -1):
-            arity = code_arity[pre[i]]
+            arity = arities[pre[i]]
             ends[i] = end = done[-arity] if arity else i + 1
             done[len(done) - arity:] = (end,)
-        sums = list(accumulate(map(t.sig._code_unit.__getitem__, pre), initial=0))
+        sums = list(accumulate(map(t.sig.bag_units.__getitem__, pre), initial=0))
         spans = t._spans = (ends, sums)
     return spans
 
@@ -499,12 +496,6 @@ def _names(sig: Signature, guards: int) -> frozenset[str]:
     return frozenset(n for i, n in enumerate(sig.names) if guards >> 32 * i + 31 & 1)
 
 
-def _symbols(sig: Signature, codes: tuple[int, ...]) -> tuple[TraversalSymbol, ...]:
-    """Traversal codes decoded through the stride encoding."""
-    stride = sig.sym_stride
-    return tuple(TraversalSymbol(sig.names[c // stride], c % stride) for c in codes)
-
-
 def size(t: Tree) -> int:
     """Number of nodes (constructor occurrences) in t."""
     return t.size
@@ -561,13 +552,15 @@ def constructor_bag(t: Tree) -> ConstructorBag:
 
 def pre_traversal(t: Tree) -> tuple[TraversalSymbol, ...]:
     """Constructors of t in preorder; injective over trees of one signature."""
-    return _symbols(t.sig, t.pre)
+    names = t.sig.names
+    return tuple(TraversalSymbol(names[c], 0) for c in t.pre)
 
 
 def euler_traversal(t: Tree) -> tuple[TraversalSymbol, ...]:
     """Euler-tour string of t: each node is revisited between and after its
     children, emitting (constructor, visits-so-far) symbols."""
-    return _symbols(t.sig, t.eul)
+    names, stride = t.sig.names, t.sig.sym_stride
+    return tuple(TraversalSymbol(names[c // stride], c % stride) for c in t.eul)
 
 
 def tree_hash(t: Tree) -> int:
@@ -640,9 +633,8 @@ def parse_tree(text: str, sig: Signature) -> Tree:
     """
     index = sig._index
     arities = sig.arities
-    stride = sig.sym_stride
     units = sig.bag_units
-    codes: list[int] = []  # the scaled preorder codes
+    codes: list[int] = []  # the constructor indices in preorder
     bag = 0
     lacking: list[int] = []  # the children each open term still lacks
     error = at = None
@@ -655,7 +647,7 @@ def parse_tree(text: str, sig: Signature) -> Tree:
                      else f"expected a constructor, found {tok!r}" if tok in "(),"
                      else f"unknown constructor {tok!r}")
             break
-        codes.append(cidx * stride)
+        codes.append(cidx)
         bag += units[cidx]
         # a name is never the last token, which is the "" end of input
         tok = next(tokens)

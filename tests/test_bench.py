@@ -16,6 +16,8 @@ from treewqo import (
 )
 from treewqo.bench import _interleaved_runs
 
+from .oracles import naive_preorder
+
 
 class TestMonotoneStream:
     def test_sizes_non_increasing_and_bags_distinct(self, sig):
@@ -24,6 +26,7 @@ class TestMonotoneStream:
         assert sizes == sorted(sizes, reverse=True)
         bags = {t.bag for t in stream}
         assert len(bags) == 500
+        assert all(t.pre == tuple(naive_preorder(t)) for t in stream)
 
     @pytest.mark.parametrize("name", ["S", "M"])
     def test_fully_admitted(self, sig, name):

@@ -154,7 +154,7 @@ TWIN_TEXTS = ["c(b(a),a)", "c(a,b(a))", "g(b(a),a)", "c(f(a),a)", "c(b(e),a)",
 def _backings(t):
     """t as a parsed, code-backed tree and as a node-backed one."""
     sig = t.sig
-    return parse_tree(render_tree(t), sig), _build(sig, [c // sig.sym_stride for c in t.pre])
+    return parse_tree(render_tree(t), sig), _build(sig, t.pre)
 
 
 def _size_corpora(corpus):

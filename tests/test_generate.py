@@ -18,7 +18,7 @@ from treewqo import (
 )
 from treewqo import generate
 
-from .oracles import naive_corpus, naive_draw
+from .oracles import naive_corpus, naive_draw, naive_preorder
 
 
 def test_splitmix_reference_values():
@@ -103,6 +103,7 @@ class TestCorpus:
         corpus = generate_corpus(cfg)
         assert len(corpus) == 200
         assert len(set(corpus)) == 200
+        assert all(t.pre == tuple(naive_preorder(t)) for t in corpus)
 
     def test_single_tree(self):
         cfg = GeneratorConfig(default_signature(), seed=3, corpus_size=1)
@@ -168,9 +169,8 @@ SEEDS = st.sampled_from([0, 2**64 - 1, -1]) | st.integers(-2**70, 2**70)
 
 def _roots(t):
     """The root indices of a generated tree, checked against its bag."""
-    roots = tuple(code // t.sig.sym_stride for code in t.pre)
-    assert t.bag == tuple(roots.count(i) for i in range(len(t.sig)))
-    return roots
+    assert t.bag == tuple(t.pre.count(i) for i in range(len(t.sig)))
+    return t.pre
 
 
 def _outcome(draw):
@@ -255,10 +255,9 @@ class TestAgainstNaive:
     @pytest.mark.parametrize("state", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
     def test_blocks_are_next_float(self, state):
         # 10 000 picks run into the second block of the largest size
-        sig = default_signature()
         rng = SplitMix64(state)
-        expected = [min(int(rng.next_float() * 4), 3) * sig.sym_stride for _ in range(10_000)]
-        blocks = generate._blocks(np.array([0.25, 0.5, 0.75, 1.0]), sig.sym_stride, state)
+        expected = [min(int(rng.next_float() * 4), 3) for _ in range(10_000)]
+        blocks = generate._blocks(np.array([0.25, 0.5, 0.75, 1.0]), state)
         assert list(islice(chain.from_iterable(blocks), 10_000)) == expected
 
 

@@ -31,7 +31,7 @@ from treewqo import (
 from treewqo import signature
 from treewqo.signature import _build, _check_constructor, _offset, _tokens
 
-from .oracles import naive_euler, naive_parse, naive_render, regex_is_name, regex_tokens
+from .oracles import naive_euler, naive_parse, naive_preorder, naive_render, regex_is_name, regex_tokens
 from .strategies import MULTI_SIG, NULLARY_SIG, trees, trees_over
 
 
@@ -296,7 +296,7 @@ class TestBuild:
     @settings(max_examples=200)
     def test_preorder_indices_rebuild_the_tree(self, t):
         sig = t.sig
-        built = _build(sig, [c // sig.sym_stride for c in t.pre])
+        built = _build(sig, t.pre)
         assert built == t
         for a, b in zip(t.nodes(), built.nodes()):
             assert (b.sig, b.root, b.size, b.bag, hash(b)) == (
@@ -305,13 +305,12 @@ class TestBuild:
     @given(t=trees_over(MULTI_SIG))
     @settings(max_examples=100)
     def test_one_leaf_per_nullary_constructor(self, t):
-        roots = [c // MULTI_SIG.sym_stride for c in t.pre]
-        built = _build(MULTI_SIG, roots)
+        built = _build(MULTI_SIG, t.pre)
         leaves = {}
         for node in built.nodes():
             if not node.children:
                 assert leaves.setdefault(node.root, node) is node
-        again = _build(MULTI_SIG, roots)
+        again = _build(MULTI_SIG, t.pre)
         assert not {id(n) for n in built.nodes()} & {id(n) for n in again.nodes()}
 
     def test_deep_chain_without_recursion(self, sig):
@@ -518,9 +517,9 @@ class TestMeasureProperties:
         # the cached measures are plain tuples, which the measure functions decode
         assert all(type(m) is tuple for m in (t.bag, t.pre, t.eul))
         assert t.bag == constructor_bag(t).counts
-        stride = t.sig.sym_stride
-        for codes, symbols in ((t.pre, pre_traversal(t)), (t.eul, euler_traversal(t))):
-            assert codes == tuple(t.sig.index(c) * stride + visit for c, visit in symbols)
+        index, stride = t.sig.index, t.sig.sym_stride
+        assert t.pre == tuple(index(s.constructor) for s in pre_traversal(t))
+        assert t.eul == tuple(index(c) * stride + visit for c, visit in euler_traversal(t))
 
     @given(t=trees())
     @settings(max_examples=200)
@@ -551,6 +550,7 @@ class TestMeasureProperties:
         want = naive_euler(t)
         for u in (t, parse_tree(render_tree(t), t.sig)):
             assert [(u.sig.index(c), visit) for c, visit in euler_traversal(u)] == want
+            assert u.pre == tuple(naive_preorder(t)) and u.root == u.pre[0]
 
     @given(t=trees())
     @settings(max_examples=200)

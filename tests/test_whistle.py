@@ -122,7 +122,7 @@ class TestPushExamples:
         # one bag, three shapes, pairwise unrelated under each order
         texts = ["c(a,b(a))", "c(b(a),a)", "b(c(a,a))"]
         parsed = [parse_tree(x, sig) for x in texts]
-        built = [_build(sig, [c // sig.sym_stride for c in t.pre]) for t in parsed]
+        built = [_build(sig, t.pre) for t in parsed]
         first, again = (parsed, built) if backing == "parsed" else (built, parsed)
         chk = checker(parse_wqo_name(name))
         assert all(o.admitted for o in push_all(chk, first))
@@ -349,8 +349,7 @@ def test_pushes_of_parsed_trees_build_no_node(monkeypatch, sig):
 def test_distinct_bags_hash_no_tree(sig):
     # a node-backed tree makes its codes only when hashed or compared, and
     # an admit-only stream of distinct bags needs neither
-    stream = [_build(sig, [c // sig.sym_stride for c in t.pre])
-              for t in monotone_stream(sig, 300, 20)]
+    stream = [_build(sig, t.pre) for t in monotone_stream(sig, 300, 20)]
     for name in ("SB", "H", "YZH"):
         chk = SequenceChecker(parse_wqo_name(name))
         assert all(o.admitted for o in push_all(chk, stream))
