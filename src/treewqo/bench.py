@@ -9,14 +9,21 @@ equals, shares a bag with or is smaller than one after it, so S, B and
 every order that implies either admit the whole stream, and the
 optimized checker, finding no candidate, stays near-linear.
 
-Timings cover pushes only, with the cyclic garbage collector off, so
-that no collection over the stream's trees lands in one run; tree
-construction and measure precomputation happen beforehand so both
-checkers see identical inputs.  A checker's two lengths run in one pass
-on two fresh checkers, two pushes of the 2n stream for each push of its
-first n trees, each push timed alone.  A slow spell of the host then
-falls on both runs in the fixed ratio of their costs per step (4:1 for
-quadratic total work, 2:1 for linear), so it cancels in time(2n)/time(n).
+Each push is timed alone on `time.thread_time`, the CPU time of the
+pushing thread, which stands still while the thread is descheduled: a
+preemption inside a push of a microsecond or two adds nothing to it.
+That needs a thread clock far finer than a push (on Linux its resolution
+is 1e-09 s).  The cyclic garbage collector is off, since a collection
+would run on the pushing thread and count in its time.  Trees are built
+beforehand, so both checkers see identical inputs.  There is no warm-up
+pass: a tree's lazily made measures are made by its first push, always
+in the 2n run, a cost per tree that keeps that run linear.
+
+A checker's two lengths run in one pass on two fresh checkers, two
+pushes of the 2n stream for each push of its first n trees.  A slow
+spell of the host then falls on both runs in the fixed ratio of their
+costs per step (4:1 for quadratic total work, 2:1 for linear), so it
+cancels in time(2n)/time(n).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
-from .orders import WqoSpec, conjunction
+from .orders import WqoSpec
 from .signature import Signature, Tree, _check_count, _coded, default_signature
 from .whistle import NaiveChecker, SequenceChecker
 
@@ -81,7 +88,7 @@ class BenchReport:
     wqo: str
     n: int
     tree_size: int
-    # (checker, stream length, seconds, whistles observed)
+    # (checker, stream length, CPU seconds, whistles observed)
     rows: list[tuple[str, int, float, int]] = field(default_factory=list)
 
     def seconds(self, checker: str, length: int) -> float:
@@ -101,14 +108,6 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _warm(trees: list[Tree], spec: WqoSpec) -> None:
-    # every order is reflexive, so each component kernel runs and caches
-    # the measures it reads
-    related = conjunction(spec)
-    for t in trees:
-        related(t, t)
-
-
 def _interleaved_runs(make_checker, stream: list[Tree]) -> list[tuple[float, int]]:
     """(seconds, whistles) of the first half of `stream` and of all of it,
     each pushed into a fresh checker from `make_checker`, interleaved."""
@@ -119,9 +118,9 @@ def _interleaved_runs(make_checker, stream: list[Tree]) -> list[tuple[float, int
     try:
         for i in range(len(stream) // 2):
             for run, t in ((1, stream[2 * i]), (1, stream[2 * i + 1]), (0, stream[i])):
-                start = time.perf_counter()
+                start = time.thread_time()
                 whistled = pushes[run](t).whistled
-                secs[run] += time.perf_counter() - start
+                secs[run] += time.thread_time() - start
                 whistles[run] += whistled
         return list(zip(secs, whistles))
     finally:
@@ -139,7 +138,6 @@ def bench_whistle(spec: WqoSpec, n: int, tree_size: int = 50,
     report = BenchReport(spec.name, n, tree_size)
     if n == 0:
         return report
-    _warm(stream, spec)
     for label, checker in (("optimized", SequenceChecker), ("naive", NaiveChecker)):
         runs = _interleaved_runs(partial(checker, spec), stream)
         report.rows += [(label, length, *run) for length, run in zip((n, 2 * n), runs)]

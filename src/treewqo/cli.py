@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify hierarchy implications, identities and strictness")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("bench", help="time optimized vs naive checkers at n and 2n, "
-                                     "both lengths in one interleaved pass")
+    p = sub.add_parser("bench", help="time optimized vs naive checkers at n and 2n in "
+                                     "thread CPU time, both lengths in one interleaved pass")
     common(p)
     p.add_argument("--n", type=int, required=True, help="stream length")
     p.add_argument("--size", type=int, default=50, help="approximate tree size")

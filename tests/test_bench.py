@@ -161,8 +161,28 @@ class TestInterleavedPass:
                 log.append((made.index(self), t))
                 return PushOutcome(self.pushes - 1, t % 3 == 0)
 
-        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(time, "thread_time", lambda: clock[0])
         return _interleaved_runs(Stub, list(range(2 * n))), log
+
+    def test_time_asleep_in_a_push_is_not_counted(self, sig):
+        made = []
+
+        class Stub:
+            def __init__(self):
+                self.checker = NaiveChecker(parse_wqo_name("S"))
+                self.slept = False
+                made.append(self)
+
+            def push(self, t):
+                # the first checker made takes the half stream
+                if self is made[0] and not self.slept:
+                    self.slept = True
+                    time.sleep(0.02)
+                return self.checker.push(t)
+
+        runs = _interleaved_runs(Stub, monotone_stream(sig, 4, 5))
+        assert made[0].slept
+        assert runs[0][0] < 0.01
 
     def test_two_whole_pushes_for_each_half_push(self, monkeypatch):
         _, log = self.clocked_pass(monkeypatch, 5)
