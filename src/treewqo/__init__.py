@@ -2,7 +2,7 @@
 orders and their intersections (`orders`), an incremental "whistle"
 sequence checker (`whistle`), a seeded random-tree generator
 (`generate`) and a discriminative-power census (`census`).  numpy serves
-the census and the generator alone and loads on their first call, so
+the census alone and loads on its first call, so the generator,
 `compare`, `whistle`, `bench` and every checker never import it.
 """
 

@@ -26,18 +26,30 @@ accepted draws become trees.
 The generator is counter-based: the k-th output from state s mixes
 s + k * 0x9E3779B97F4A7C15 mod 2^64 and depends on no other output
 (Steele, Lea and Flood, "Fast splittable pseudorandom number
-generators", OOPSLA 2014).  So picks are drawn in numpy blocks, each
-block one array expression, and one Python loop walks them into draws.
-Picks drawn ahead and not used are never counted: after each draw
-`rng.state` has advanced one step per pick consumed, just as one
-`next_float` per pick leaves it.
+generators", OOPSLA 2014).  So picks are drawn in blocks, and one Python
+loop walks them into draws.  A block is one Python int with a 128-bit
+lane per pick, mixed word-parallel as the packed bag adds its fields
+(Lamport, CACM 1975): a 64-bit lane times a 64-bit multiplier stays below
+2^128, so no product carries into the next lane, and every lane is cut
+back to 64 bits after each xor-shift and each product.  Picks are decided
+on the 64-bit output z in exact integers: u >= c iff
+z >= ceil(c * 2^53) << 11, with no bound for the last constructor, which
+takes a last sum rounded below 1.  A 256-byte table maps each output's
+top byte to its pick, through `bytes.translate` over the whole block;
+where a bound splits the byte's bucket, or the pick is 255 or more, the
+table holds 255 and that lane is decided by bisecting the bounds with its
+whole output.  Picks drawn ahead and not used are never counted: after
+each draw `rng.state` has advanced one step per pick consumed, just as
+one `next_float` per pick leaves it.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from math import ceil
 from typing import Iterator
 
 from .signature import Signature, Tree, _check_count, _coded, default_signature
@@ -50,6 +62,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# the low 56 bits, below an output's top byte
+_BUCKET = (1 << 56) - 1
 
 
 class SplitMix64:
@@ -123,21 +137,44 @@ _BLOCK_MIN, _BLOCK_MAX = 32, 4096
 
 def _blocks(cdf: list[float], state: int) -> Iterator[list[int]]:
     """The indices of the constructors picked after `state`, endlessly,
-    in blocks.  A block is one array expression equal to one
-    `next_float` per pick; no `SplitMix64` is advanced."""
-    import numpy as np
-    cdf = np.asarray(cdf)
-    n = _BLOCK_MIN
+    in blocks.  A block is one lane-parallel int expression equal to one
+    `next_float` per pick, decided as the module docstring says; no
+    `SplitMix64` is advanced."""
+    bounds = [ceil(c * (1 << 53)) << 11 for c in cdf[:-1]]
+    # bound i closes the buckets wholly below it with pick i, and marks
+    # the bucket it splits with 255; a sum is within 1e-9 of 1 at most, so
+    # no edge passes 256
+    table = bytearray()
+    for i, bound in enumerate(bounds):
+        edge = bound >> 56
+        if edge >= len(table):
+            table += bytes([min(i, 255)]) * (edge - len(table))
+            if bound & _BUCKET and edge < 256:
+                table.append(255)
+    table += bytes([min(len(bounds), 255)]) * (256 - len(table))
+    # lane k of `ones` holds 1 and of `ramp` k * GAMMA, below 2**76 for
+    # k <= 4096, so the state adds to it without a carry between lanes
+    n, ones, ramp = 1, 1, _GAMMA
     while True:
-        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * (1.0 / (1 << 53))
-        # clamped against rounding of the last sum below 1
-        roots = np.minimum(np.searchsorted(cdf, u, "right"), len(cdf) - 1)
-        yield roots.tolist()
+        if n < _BLOCK_MAX:
+            ramp |= (ramp + n * _GAMMA * ones) << (128 * n)
+            ones |= ones << (128 * n)
+            mask = ones * _MASK64
+            n *= 2
+        if n < _BLOCK_MIN:
+            continue
+        z = (ramp + state * ones) & mask
+        z = ((z ^ z >> 30) & mask) * _MIX1 & mask
+        z = ((z ^ z >> 27) & mask) * _MIX2 & mask
+        out = ((z ^ z >> 31) & mask).to_bytes(16 * n, "little")
+        top = out[7::16].translate(table)
+        picks = list(top)
+        j = top.find(255)
+        while j >= 0:
+            picks[j] = bisect_right(bounds, int.from_bytes(out[16 * j:16 * j + 8], "little"))
+            j = top.find(255, j + 1)
+        yield picks
         state = (state + n * _GAMMA) & _MASK64
-        n = min(2 * n, _BLOCK_MAX)
 
 
 def _draws(cfg: GeneratorConfig, rng: SplitMix64) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -1,7 +1,7 @@
 import hashlib
-from itertools import chain, islice
+from bisect import bisect_right
+from itertools import accumulate, chain, islice
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -153,18 +153,20 @@ class TestFixedCorpora:
 
 
 # the oracle's signatures: m = 0.95, 0, 0.8 with a constructor never
-# picked, and 0.999
+# picked, 0.999, and 0.3 over 300 constructors, whose picks of 255 and
+# more take the exact path of every lane
 ORACLE_SIGS = {
     "default": default_signature(),
     "all-leaf": Signature([("x", 0, 0.3), ("y", 0, 0.7)]),
     "zero-probability": Signature([("a", 0, 0.6), ("b", 1, 0.0), ("c", 2, 0.4)]),
     "near-critical": Signature([("a", 0, 0.5005), ("c", 2, 0.4995)]),
+    "wide": Signature([("u", 1, 0.3), *((f"c{i}", 0, 0.7 / 299) for i in range(299))]),
 }
 
 # small enough that corpora with too few distinct trees fail fast
 ORACLE_LIMIT = 40
 
-SEEDS = st.sampled_from([0, 2**64 - 1, -1]) | st.integers(-2**70, 2**70)
+SEEDS = st.sampled_from([0, 2**63, 2**64 - 1, -1]) | st.integers(-2**70, 2**70)
 
 
 def _roots(t):
@@ -252,13 +254,25 @@ class TestAgainstNaive:
             assert rng.next_float() == ref.next_float()
         assert rng.state == ref.state
 
-    @pytest.mark.parametrize("state", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+    @pytest.mark.parametrize("state", [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15])
     def test_blocks_are_next_float(self, state):
+        # bounds on top-byte edges, sums rounded above 1, bounds that split a
+        # bucket, a constructor never picked, and picks of 255 and more;
         # 10 000 picks run into the second block of the largest size
-        rng = SplitMix64(state)
-        expected = [min(int(rng.next_float() * 4), 3) for _ in range(10_000)]
-        blocks = generate._blocks(np.array([0.25, 0.5, 0.75, 1.0]), state)
-        assert list(islice(chain.from_iterable(blocks), 10_000)) == expected
+        cdfs = [[0.25, 0.5, 0.75, 1.0], [0.5, 1 + 2**-40, 1 + 2**-40]]
+        cdfs += [list(accumulate(ORACLE_SIGS[name].probabilities))
+                 for name in ("default", "zero-probability", "wide")]
+        for cdf in cdfs:
+            rng = SplitMix64(state)
+            expected = [min(bisect_right(cdf, rng.next_float()), len(cdf) - 1)
+                        for _ in range(10_000)]
+            blocks = generate._blocks(cdf, state)
+            assert list(islice(chain.from_iterable(blocks), 10_000)) == expected, len(cdf)
+
+    def test_block_sizes_double_to_the_cap(self):
+        sizes = [len(block) for block in islice(generate._blocks([0.5, 1.0], 0), 9)]
+        assert sizes == [32, 64, 128, 256, 512, 1024, 2048, 4096, 4096]
+        assert (sizes[0], sizes[-1]) == (generate._BLOCK_MIN, generate._BLOCK_MAX)
 
 
 class TestRetryLimit:
