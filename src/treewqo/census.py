@@ -105,7 +105,7 @@ def _number_subtrees(corpus: list[Tree]) -> tuple[list[tuple[int, ...]], list[in
             b = number.get(key)
             if b is None:
                 b = number[key] = len(height)
-                height.append(1 + max([height[k] for k in key[1:]], default=-1))
+                height.append(1 + max(map(height.__getitem__, key[1:])) if arity else 0)
             done.append(b)
         ids.append(done[0])
     return list(number), height, ids
@@ -114,13 +114,16 @@ def _number_subtrees(corpus: list[Tree]) -> tuple[list[tuple[int, ...]], list[in
 def _embedding_matrix(keys: list[tuple[int, ...]], height: list[int], ids: list[int]) -> np.ndarray:
     """The H matrix from one table over the numbered subtrees, by height blocks."""
     import numpy as np
-    width = max(map(len, keys))
-    table = np.array([key + (0,) * (width - len(key)) for key in keys], dtype=np.intp)
+    lengths = np.fromiter(map(len, keys), np.intp, len(keys))
+    width = int(lengths.max())
+    table = np.zeros((len(keys), width), dtype=np.intp)  # 0 pads the missing children
+    table[np.arange(width) < lengths[:, None]] = np.fromiter(chain.from_iterable(keys), np.intp)
     # renumber by height: each height is then one block of rows
+    height = np.array(height)
     order = np.argsort(height, kind="stable")
     rank = np.argsort(order)
     roots, kids = table[order, 0], rank[table[order, 1:]]
-    edges = np.searchsorted(np.sort(height), np.arange(max(height) + 2)).tolist()
+    edges = np.searchsorted(height[order], np.arange(height[order[-1]] + 2)).tolist()
     slots = np.arange(width - 1)[:, None]
     below = np.zeros((len(order), len(order)), dtype=bool)  # below[b, a]: a embeds in b
     below[0, 0] = True  # the pad embeds only in itself
@@ -215,6 +218,7 @@ def census(
     """Count related ordered pairs for each spec over the whole corpus, whose
     trees share one signature; specs that name Y must share one y_threshold.
     The per-spec boolean matrices are kept on the result for the audit."""
+    import numpy as np
     if specs is None:
         specs = list(all_named_specs())
     thresholds = {s.y_threshold for s in specs if "Y" in s.components}
@@ -237,7 +241,7 @@ def census(
         for letter in spec.components:
             m = base[letter] if m is None else m & base[letter]
         matrices[spec.name] = m
-        counts[spec.name] = int(m.sum())
+        counts[spec.name] = int(np.count_nonzero(m))
 
     return CensusResult(
         counts=counts,

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from operator import le
 from typing import Callable
 
-from .signature import (ConstructorBag, Tree, _check_threshold, _subtree_spans, bag_at_least,
+from .signature import (ConstructorBag, Tree, _check_threshold, _subtree_ends, bag_at_least,
                         tree_equal)
 
 __all__ = [
@@ -259,22 +259,23 @@ def rel_embed(s: Tree, t: Tree) -> bool:
     pairwise (coupling), or s embeds into some child of t (diving).
     Decided iteratively on index pairs into the two preorder code arrays,
     with a fresh memo for every call, so no node is read; a subtree's
-    children start one past it and at each child's end, and its end and
-    bag come from `signature._subtree_spans`.  H implies S and B, so a
-    subproblem whose left subtree is not smaller holds only when the two
-    code slices are equal, and one whose left bag is not a sub-multiset of
-    the right one fails (`rel_bag`'s borrow test).  H also implies P, so
-    a pair whose preorder codes fail `is_subsequence` is refused before
-    any spans are made.
+    children start one past it and at each child's end, from
+    `signature._subtree_ends`.  H implies S, so a subproblem whose left
+    subtree is not smaller holds only when the two code slices are equal;
+    every other subproblem, a leaf included, is decided by coupling or
+    diving.  Before any ends are made, the whole pair is tested at the
+    roots: H also implies B, so a pair whose left bag is not a
+    sub-multiset of the right one (`rel_bag`'s borrow test) holds only
+    when the trees are equal, and H implies P, so a pair whose preorder
+    codes fail `is_subsequence` is refused.
     """
     guards = t.sig.bag_guards
     if s.size >= t.size or ((t.packed_bag | guards) - s.packed_bag) & guards != guards:
-        return tree_equal(s, t)  # decided at the roots, before any spans are made
+        return tree_equal(s, t)  # decided at the roots, before any ends are made
     sp, tp = s.pre, t.pre
     if not is_subsequence(sp, tp):
         return False  # H implies P, which reads only the codes
-    s_ends, s_sums = _subtree_spans(s)
-    t_ends, t_sums = _subtree_spans(t)
+    s_ends, t_ends = _subtree_ends(s), _subtree_ends(t)
     width = len(tp)
     memo: dict[int, bool] = {}  # i * width + j -> the verdict on (s at i, t at j)
     stack = [(0, 0)]
@@ -285,14 +286,12 @@ def rel_embed(s: Tree, t: Tree) -> bool:
             stack.pop()
             continue
         ei, ej = s_ends[i], t_ends[j]
-        if (ei - i >= ej - j
-                or ((t_sums[ej] - t_sums[j]) | guards) - (s_sums[ei] - s_sums[i]) & guards != guards):
+        if ei - i >= ej - j:
             memo[key] = ei - i == ej - j and sp[i:ei] == tp[j:ej]
             stack.pop()
             continue
         pending = None
-        # a leaf that passed the bag test occurs in the right subtree
-        if sp[i] == tp[j] or ei == i + 1:
+        if sp[i] == tp[j]:
             coupled = True
             ci, cj = i + 1, j + 1
             while ci < ei:

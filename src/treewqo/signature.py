@@ -57,7 +57,6 @@ interpreter recursion limit.
 from __future__ import annotations
 
 import struct
-from itertools import accumulate
 from operator import length_hint
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -265,7 +264,7 @@ class Tree:
     refuses a tree of 2**31 nodes or more.  The tree it makes is
     node-backed; see the module docstring for the backings."""
 
-    __slots__ = ("sig", "root", "children", "size", "packed_bag", "_pre", "_eul", "_spans")
+    __slots__ = ("sig", "root", "children", "size", "packed_bag", "_pre", "_eul", "_ends")
 
     def __init__(self, sig: Signature, root: int, children: Iterable["Tree"] = ()):
         children = tuple(children)
@@ -325,7 +324,8 @@ class Tree:
             while stack:
                 node = stack.pop()
                 codes.append(node.root)
-                stack.extend(reversed(node.children))
+                if node.children:
+                    stack += node.children[::-1]
             self._pre = tuple(codes)
         return self._pre
 
@@ -381,7 +381,7 @@ def _coded(sig: Signature, codes: Iterable[int], bag: int) -> Tree:
     t = _new_tree(_CodedTree)
     t._pre = codes = tuple(codes)
     t.sig, t.root, t.size, t.packed_bag = sig, codes[0], len(codes), bag
-    t._eul = t._spans = None
+    t._eul = t._ends = None
     return t
 
 
@@ -398,7 +398,7 @@ def _fill(t: Tree, sig: Signature, root: int, children: tuple[Tree, ...]) -> Tre
         bag += ch.packed_bag
     t.size = n
     t.packed_bag = bag
-    t._pre = t._eul = t._spans = None
+    t._pre = t._eul = t._ends = None
     return t
 
 
@@ -422,11 +422,11 @@ def _build(sig: Signature, roots: Sequence[int]) -> Tree:
     return stack[0]
 
 
-def _subtree_spans(t: Tree) -> tuple[list[int], list[int]]:
-    """The subtree at position i of `t.pre` is `t.pre[i:ends[i]]`, and its
-    packed bag is `sums[ends[i]] - sums[i]`; made once and cached on t."""
-    spans = t._spans
-    if spans is None:
+def _subtree_ends(t: Tree) -> list[int]:
+    """The subtree at position i of `t.pre` is `t.pre[i:ends[i]]`: one
+    backward pass over the codes, made once and cached on t."""
+    ends = t._ends
+    if ends is None:
         arities = t.sig.arities
         pre = t.pre
         ends = [0] * len(pre)
@@ -435,9 +435,8 @@ def _subtree_spans(t: Tree) -> tuple[list[int], list[int]]:
             arity = arities[pre[i]]
             ends[i] = end = done[-arity] if arity else i + 1
             done[len(done) - arity:] = (end,)
-        sums = list(accumulate(map(t.sig.bag_units.__getitem__, pre), initial=0))
-        spans = t._spans = (ends, sums)
-    return spans
+        t._ends = ends
+    return ends
 
 
 class ConstructorBag:

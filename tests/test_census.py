@@ -58,6 +58,7 @@ def small_census(small_corpus):
 def test_counts_bounded(small_census):
     n = small_census.corpus_size
     for name, count in small_census.counts.items():
+        assert type(count) is int, name  # not a numpy int, which json cannot write
         assert n <= count <= n * n, name
 
 
@@ -145,6 +146,9 @@ def test_key_matrices_match_pairwise_relations(small_corpus, k):
 
 # two constructors of every arity, so that trees of one shape differ in labels
 TWINS = Signature([("a", 0), ("e", 0), ("b", 1), ("f", 1), ("c", 2), ("g", 2)])
+
+# keys of lengths 1, 2, 5 and 7: the H table pads them by gaps of 0 to 6
+WIDE = Signature([("a", 0), ("b", 1), ("q", 4), ("s", 6)])
 
 # trees of equal size, equal shape or equal labels, one of them twice
 TWIN_TEXTS = ["c(b(a),a)", "c(a,b(a))", "g(b(a),a)", "c(f(a),a)", "c(b(e),a)",
@@ -343,9 +347,11 @@ class TestSharedEmbeddingMemo:
     @given(data=st.data())
     @settings(max_examples=60)
     def test_h_matrix_on_shared_subtrees(self, data):
-        # the default signature's arity 3 exercises the table's child padding
-        for sig in (TWINS, default_signature()):
-            forest = [data.draw(trees_over(sig)) for _ in range(3)]
+        # the default signature's arity 3 and WIDE's 4 and 6 exercise the
+        # table's child padding; WIDE's trees stay shallow, as each node may
+        # have six children
+        for sig, depth in ((TWINS, 3), (default_signature(), 3), (WIDE, 2)):
+            forest = [data.draw(trees_over(sig, depth)) for _ in range(3)]
             duplicates = [parse_tree(render_tree(t), sig) for t in forest]
             _assert_base_matches_naive(forest + duplicates + list(forest[0].nodes()))
 

@@ -180,11 +180,11 @@ class TestBaseRelations:
 
     def test_embed_refuses_by_preorder_before_spans(self, sig):
         # the pair passes the root test (smaller, sub-multiset bag) but fails
-        # P, which H implies, so no subtree spans are built for either tree
+        # P, which H implies, so no subtree ends are made for either tree
         s, t = parse_tree("b(c(a,a))", sig), parse_tree("c(a,b(b(a)))", sig)
         assert s.size < t.size and rel_bag(s, t) and not rel_preorder(s, t)
         assert not rel_embed(s, t) and not naive_embeds(s, t)
-        assert s._spans is None and t._spans is None
+        assert s._ends is None and t._ends is None
 
     def test_embed_deep_trees(self, sig):
         shallow = parse_tree("b(" * 2000 + "a" + ")" * 2000, sig)
