@@ -37,7 +37,9 @@ iff its field's last bit is set after the scan, exactly the verdict of
 w, so its ints stay short, and the final states are read a bounded
 number of bytes at a time.
 
-The audit then checks, on the raw pair sets rather than the counts:
+The audit reads a census of all 27 named orders, at whatever Y
+threshold it was taken, and decides no pair itself.  It checks, on the
+raw pair sets rather than the counts:
 
   * every implication between named orders holds pointwise,
   * the orders that are equal by construction (M vs Z&S, and their P/B
@@ -56,34 +58,27 @@ not the other, exactly: in float32 while n*n < 2**24, else float64.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .generate import GeneratorConfig
 from .orders import KEY_LETTERS, WqoSpec, all_named_specs, named_implications, partition_key
 from .signature import Tree
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["CensusResult", "census", "AuditReport", "hierarchy_audit", "write_census_tsv"]
+__all__ = ["CensusResult", "census", "AuditReport", "hierarchy_audit"]
 
 
 @dataclass
 class CensusResult:
     counts: dict[str, int]
     corpus_size: int
-    seed: int | None = None
-    size_cap: int | None = None
     y_threshold: int = 2
     matrices: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     base_matrices: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def sorted_counts(self) -> list[tuple[str, int]]:
-        return sorted(self.counts.items(), key=lambda kv: (kv[1], kv[0]))
 
 
 def _number_subtrees(corpus: list[Tree]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
@@ -210,14 +205,11 @@ def _base_matrix(letter: str, corpus: list[Tree], y_threshold: int) -> np.ndarra
     return (bags[:, None] <= bags[None]).all(-1)
 
 
-def census(
-    corpus: list[Tree],
-    specs: list[WqoSpec] | None = None,
-    config: GeneratorConfig | None = None,
-) -> CensusResult:
-    """Count related ordered pairs for each spec over the whole corpus, whose
-    trees share one signature; specs that name Y must share one y_threshold.
-    The per-spec boolean matrices are kept on the result for the audit."""
+def census(corpus: list[Tree], specs: list[WqoSpec] | None = None) -> CensusResult:
+    """Count related ordered pairs for each spec (default: the 27 named
+    orders at k=2) over the whole corpus, whose trees share one signature;
+    specs that name Y must share one y_threshold.  The per-spec and base
+    boolean matrices are kept on the result for the audit."""
     import numpy as np
     if specs is None:
         specs = list(all_named_specs())
@@ -243,27 +235,8 @@ def census(
         matrices[spec.name] = m
         counts[spec.name] = int(np.count_nonzero(m))
 
-    return CensusResult(
-        counts=counts,
-        corpus_size=len(corpus),
-        seed=config.seed if config else None,
-        size_cap=config.size_cap if config else None,
-        y_threshold=y_threshold,
-        matrices=matrices,
-        base_matrices=base,
-    )
-
-
-def write_census_tsv(result: CensusResult, out=None) -> None:
-    """Counts as TSV, ascending (ties by name), with a metadata header."""
-    if out is None:
-        out = sys.stdout
-    out.write(f"# seed={result.seed if result.seed is not None else 'unknown'}\n")
-    out.write(f"# corpus={result.corpus_size}\n")
-    out.write(f"# cap={result.size_cap if result.size_cap is not None else 'unknown'}\n")
-    out.write("wqo_name\tpair_count\n")
-    for name, count in result.sorted_counts():
-        out.write(f"{name}\t{count}\n")
+    return CensusResult(counts=counts, corpus_size=len(corpus), y_threshold=y_threshold,
+                        matrices=matrices, base_matrices=base)
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +271,16 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def hierarchy_audit(result: CensusResult, corpus: list[Tree] | None = None) -> AuditReport:
-    """Audit a census over all named orders; see the module docstring.
-    A partial census needs the corpus, to recompute the missing orders."""
+def hierarchy_audit(result: CensusResult) -> AuditReport:
+    """Audit a census of all 27 named orders, at whatever Y threshold it
+    was taken; see the module docstring.  A census that lacks a named order
+    or its base matrices is refused, as the audit decides no pair itself."""
     import numpy as np
     specs = list(all_named_specs())
     missing = [s.name for s in specs if s.name not in result.matrices]
     if missing or not result.base_matrices:
-        if corpus is None:
-            raise ValueError(f"census does not cover all named orders (missing {missing})")
-        result = census(corpus, [WqoSpec(s.components, result.y_threshold) for s in specs])
+        raise ValueError(f"census does not cover all named orders (missing "
+                         f"{missing or 'its base matrices'})")
 
     report = AuditReport()
     mats = result.matrices

@@ -1,6 +1,9 @@
 """Command-line front end; `build_parser` defines the subcommands.
 Results go to stdout, diagnostics to stderr: census times its corpus,
 census and audit on separate lines, bench prints the doubling ratios.
+census prints its counts as TSV, ascending with ties by name; its
+`--audit` audits all 27 named orders at `--k`, by a second census of
+them when the first named fewer.
 
 Exit codes: compare 0 related / 1 unrelated / 2 error; whistle 0 whistled
 / 1 stream exhausted / 2 error; census and bench 0 ok / 1 audit failure /
@@ -14,7 +17,7 @@ import sys
 import time
 
 from .bench import bench_whistle
-from .census import census, hierarchy_audit, write_census_tsv
+from .census import census, hierarchy_audit
 from .generate import GeneratorConfig, generate_corpus
 from .orders import WqoSpec, all_named_specs, base_relation, parse_wqo_name
 from .signature import (ParseError, Signature, default_signature, iter_trees, load_trees,
@@ -57,8 +60,9 @@ def cmd_whistle(args) -> int:
 
 def cmd_census(args) -> int:
     sig = _load_signature(args.sig)
+    named = [WqoSpec(s.components, args.k) for s in all_named_specs()]
     if args.wqo.strip().lower() == "all":
-        specs = [WqoSpec(s.components, args.k) for s in all_named_specs()]
+        specs = named
     else:
         specs = [parse_wqo_name(name.strip(), args.k) for name in args.wqo.split(",")]
     started = time.perf_counter()
@@ -72,13 +76,18 @@ def cmd_census(args) -> int:
     if args.dump:
         save_trees(args.dump, corpus)
     started = time.perf_counter()
-    result = census(corpus, specs, config=cfg)
+    result = census(corpus, specs)
     print(f"census of {len(result.counts)} orders in {time.perf_counter() - started:.2f}s",
           file=sys.stderr)
-    write_census_tsv(result)
+    print(f"# seed={cfg.seed if cfg else 'unknown'}\n# corpus={len(corpus)}\n"
+          f"# cap={cfg.size_cap if cfg else 'unknown'}\nwqo_name\tpair_count")
+    for name, count in sorted(result.counts.items(), key=lambda kv: (kv[1], kv[0])):
+        print(f"{name}\t{count}")
     if args.audit:
         started = time.perf_counter()
-        report = hierarchy_audit(result, corpus)
+        if not all(s.name in result.matrices for s in named):
+            result = census(corpus, named)
+        report = hierarchy_audit(result)
         print(f"audit in {time.perf_counter() - started:.2f}s", file=sys.stderr)
         print(report.summary(), file=sys.stderr)
         if not report.ok:

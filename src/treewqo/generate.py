@@ -114,7 +114,7 @@ class GeneratorConfig:
         if m >= 1.0:
             warnings.warn(
                 f"expected branching factor {m:.3f} >= 1: generation may not terminate",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -141,7 +141,7 @@ def test_criterion_5_census_structure():
     started = time.perf_counter()
     cfg = GeneratorConfig(SIG, seed=1, corpus_size=400, size_cap=1000)
     corpus = generate_corpus(cfg)
-    result = census(corpus, config=cfg)
+    result = census(corpus)
 
     n = cfg.corpus_size
     assert set(result.counts) == set(s.name for s in all_named_specs())
@@ -154,7 +154,7 @@ def test_criterion_5_census_structure():
             if s1.name != s2.name and implies(s1, s2):
                 assert result.counts[s1.name] <= result.counts[s2.name], (s1.name, s2.name)
 
-    audit = hierarchy_audit(result, corpus)
+    audit = hierarchy_audit(result)
     assert audit.ok, audit.summary()
     assert audit.identities == {"M=ZS": True, "MP=ZP": True, "MB=ZSB": True}
 

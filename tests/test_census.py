@@ -1,7 +1,7 @@
-import io
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ from treewqo import (
     rel_size,
     rel_sized_set,
     render_tree,
-    write_census_tsv,
 )
 import treewqo
 import treewqo.signature
@@ -51,8 +50,8 @@ def small_corpus():
 
 @pytest.fixture(scope="module")
 def small_census(small_corpus):
-    corpus, cfg = small_corpus
-    return census(corpus, config=cfg)
+    corpus, _ = small_corpus
+    return census(corpus)
 
 
 def test_counts_bounded(small_census):
@@ -102,7 +101,7 @@ def test_pinned_counts():
     # the 27 counts of one small generated corpus, fixed so that a rewrite
     # of any kernel or of the census cannot drift unnoticed
     cfg = default_config(seed=1, corpus_size=40, size_cap=200)
-    assert census(generate_corpus(cfg), config=cfg).counts == {
+    assert census(generate_corpus(cfg)).counts == {
         "B": 646, "E": 412, "H": 349, "M": 289, "MB": 239, "P": 483, "S": 797,
         "SB": 642, "Y": 404, "YB": 163, "YE": 60, "YH": 58, "YM": 174, "YMB": 134,
         "YP": 71, "YS": 211, "YSB": 159, "YZ": 326, "YZB": 138, "YZE": 46, "YZH": 44,
@@ -112,8 +111,8 @@ def test_pinned_counts():
 
 def test_counts_deterministic(small_corpus):
     corpus, cfg = small_corpus
-    again = census(generate_corpus(cfg), config=cfg)
-    assert again.counts == census(corpus, config=cfg).counts
+    again = census(generate_corpus(cfg))
+    assert again.counts == census(corpus).counts
 
 
 def test_combined_counts_dominated(small_census):
@@ -125,9 +124,9 @@ def test_combined_counts_dominated(small_census):
 
 def test_matrix_spot_check(small_corpus):
     # a census matrix entry must agree with the pairwise relation
-    corpus, cfg = small_corpus
+    corpus, _ = small_corpus
     spec = parse_wqo_name("YZP")
-    result = census(corpus, [spec], config=cfg)
+    result = census(corpus, [spec])
     m = result.matrices["YZP"]
     idx = [3, 17, 31, 55, 80, 99]
     for i in idx:
@@ -200,7 +199,7 @@ def test_census_makes_no_pairwise_call(monkeypatch, small_corpus):
     """
     corpus, cfg = small_corpus
     expected = census(corpus)
-    expected_report = hierarchy_audit(expected, corpus)
+    expected_report = hierarchy_audit(expected)
     partial = {letter: census(corpus, [parse_wqo_name(letter)]).base_matrices
                for letter in "SMH"}
 
@@ -225,7 +224,7 @@ def test_census_makes_no_pairwise_call(monkeypatch, small_corpus):
             assert got.keys() == want.keys()
             assert all((got[k] == want[k]).all() for k in want)
         assert result.counts == expected.counts
-        assert hierarchy_audit(result, trees) == expected_report
+        assert hierarchy_audit(result) == expected_report
         for letter, want in partial.items():
             got = census(trees, [parse_wqo_name(letter)]).base_matrices
             assert got.keys() == want.keys()
@@ -395,17 +394,17 @@ class TestSharedEmbeddingMemo:
 
 class TestAudit:
     def test_passes_on_random_corpus(self, small_census, small_corpus):
-        report = hierarchy_audit(small_census, small_corpus[0])
+        report = hierarchy_audit(small_census)
         assert report.ok, report.summary()
         assert report.implications_checked > 0
         assert not report.violations
 
     def test_identities_exact(self, small_census, small_corpus):
-        report = hierarchy_audit(small_census, small_corpus[0])
+        report = hierarchy_audit(small_census)
         assert report.identities == {"M=ZS": True, "MP=ZP": True, "MB=ZSB": True}
 
     def test_strictness_reported(self, small_census, small_corpus):
-        report = hierarchy_audit(small_census, small_corpus[0])
+        report = hierarchy_audit(small_census)
         verified = {(f, c) for f, c, _ in report.strict_verified}
         unverified = set(report.strict_unverified)
         assert verified or unverified
@@ -447,46 +446,14 @@ class TestAudit:
         assert report.identities["M=ZS"] is False
         assert not report.ok
 
-    def test_recomputes_from_corpus(self, small_corpus):
-        corpus, cfg = small_corpus
-        bare = census(corpus, config=cfg)
-        bare.matrices = {}
-        report = hierarchy_audit(bare, corpus)
-        assert report.ok
-
-    def test_recompute_keeps_y_threshold(self, small_corpus):
-        # the recomputed matrices must be those of the census's own Y threshold
-        corpus, cfg = small_corpus
-        result = census(corpus, [WqoSpec(s.components, 3) for s in all_named_specs()], config=cfg)
-        assert result.y_threshold == 3
-        expected = hierarchy_audit(result)
-        result.matrices = {}
-        assert hierarchy_audit(result, corpus) == expected
-
-    def test_recomputes_partial_census(self, small_corpus):
-        corpus, _ = small_corpus
-        partial = census(corpus, [parse_wqo_name("S"), parse_wqo_name("H")])
-        assert hierarchy_audit(partial, corpus).ok
-
-    def test_requires_full_registry(self, small_corpus):
+    def test_requires_full_registry(self, small_census, small_corpus):
+        # the audit decides no pair itself, so it refuses what it would need
         corpus, _ = small_corpus
         partial = census(corpus, [parse_wqo_name("S")])
-        with pytest.raises(ValueError, match="named orders"):
+        with pytest.raises(ValueError, match=r"named orders \(missing \['B', "):
             hierarchy_audit(partial)
-
-
-def test_tsv_format(small_census):
-    buf = io.StringIO()
-    write_census_tsv(small_census, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# seed=20240809"
-    assert lines[1] == "# corpus=120"
-    assert lines[2] == "# cap=1000"
-    assert lines[3] == "wqo_name\tpair_count"
-    rows = [l.split("\t") for l in lines[4:]]
-    assert len(rows) == 27
-    counts = [int(c) for _, c in rows]
-    assert counts == sorted(counts)
+        with pytest.raises(ValueError, match="missing its base matrices"):
+            hierarchy_audit(replace(small_census, base_matrices={}))
 
 
 def test_mixed_signatures_rejected(sig):

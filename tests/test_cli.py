@@ -139,9 +139,30 @@ class TestCensus:
         assert len(out.splitlines()[4:]) == 27
 
     def test_audit_of_partial_census(self, capsys):
-        # the audit recomputes the orders the census did not name
+        # a census that names fewer orders is audited by a census of all 27
         code, _, err = run(capsys, "census", "--n", "10", "--wqo", "S,H", "--audit")
         assert code == 0 and "violations: 0" in err
+
+    def test_audit_of_partial_census_at_k(self, capsys):
+        # the census of all 27 orders behind the audit runs at --k too
+        def summary(wqo):
+            code, _, err = run(capsys, "census", "--n", "12", "--cap", "40", "--seed", "5",
+                               "--wqo", wqo, "--k", "3", "--audit")
+            assert code == 0
+            return err.split("audit in ")[1].split("\n", 1)[1]
+
+        partial = summary("H")
+        assert partial == summary("all")
+        assert "strict edges separated on this corpus: 44, unverified: 8" in partial
+
+    def test_tsv_format(self, capsys):
+        code, out, _ = run(capsys, "census", "--n", "40", "--seed", "3", "--cap", "200")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:4] == ["# seed=3", "# corpus=40", "# cap=200", "wqo_name\tpair_count"]
+        rows = [(int(c), name) for name, c in (l.split("\t") for l in lines[4:])]
+        assert len(rows) == 27
+        assert rows == sorted(rows)  # ascending counts, ties by name
 
     @pytest.mark.parametrize("option, value, message", [
         ("--n", "-1", "corpus size must be >= 0, got -1"),

@@ -70,8 +70,9 @@ def test_mean_size_tracks_branching_process():
 
 def test_supercritical_config_warns():
     sig = Signature([("a", 0, 0.2), ("d", 3, 0.8)])
-    with pytest.warns(UserWarning, match="branching factor"):
+    with pytest.warns(UserWarning, match="branching factor") as caught:
         GeneratorConfig(sig, seed=1, size_cap=10)
+    assert caught[0].filename == __file__  # the caller's line, not the dataclass __init__
 
 
 def test_probabilities_required():
