@@ -13,6 +13,7 @@ letters yields exactly 27 distinct named orders.
 A combined relation is decided by its base relations in `LETTERS` order,
 short-circuiting on the first failure (`conjunction`, `rel`); the whistle
 checker needs no conjunction, as the lattice leaves it one kernel at most.
+`rel_embed` first calls the kernels of B and P, which H implies.
 """
 
 from __future__ import annotations
@@ -257,24 +258,21 @@ def rel_embed(s: Tree, t: Tree) -> bool:
 
     s embeds into t iff the roots are equal and the children embed
     pairwise (coupling), or s embeds into some child of t (diving).
-    Decided iteratively on index pairs into the two preorder code arrays,
+    H implies B and P, so the pair is first tested by `rel_bag` and
+    `rel_preorder`, before any ends are made; a larger s fails B, and a
+    pair of equal sizes passes both only when its codes are equal.  The
+    search then runs on index pairs into the two preorder code arrays,
     with a fresh memo for every call, so no node is read; a subtree's
     children start one past it and at each child's end, from
     `signature._subtree_ends`.  H implies S, so a subproblem whose left
-    subtree is not smaller holds only when the two code slices are equal;
-    every other subproblem, a leaf included, is decided by coupling or
-    diving.  Before any ends are made, the whole pair is tested at the
-    roots: H also implies B, so a pair whose left bag is not a
-    sub-multiset of the right one (`rel_bag`'s borrow test) holds only
-    when the trees are equal, and H implies P, so a pair whose preorder
-    codes fail `is_subsequence` is refused.
+    subtree is not smaller holds only when the two code slices are
+    equal; any other, a leaf included, is decided by a coupling loop and
+    a diving loop, each exiting with its verdict or at the first
+    undecided subproblem, which is pushed.
     """
-    guards = t.sig.bag_guards
-    if s.size >= t.size or ((t.packed_bag | guards) - s.packed_bag) & guards != guards:
-        return tree_equal(s, t)  # decided at the roots, before any ends are made
+    if not (rel_bag(s, t) and rel_preorder(s, t)):
+        return False
     sp, tp = s.pre, t.pre
-    if not is_subsequence(sp, tp):
-        return False  # H implies P, which reads only the codes
     s_ends, t_ends = _subtree_ends(s), _subtree_ends(t)
     width = len(tp)
     memo: dict[int, bool] = {}  # i * width + j -> the verdict on (s at i, t at j)
@@ -290,41 +288,34 @@ def rel_embed(s: Tree, t: Tree) -> bool:
             memo[key] = ei - i == ej - j and sp[i:ei] == tp[j:ej]
             stack.pop()
             continue
-        pending = None
         if sp[i] == tp[j]:
-            coupled = True
             ci, cj = i + 1, j + 1
             while ci < ei:
                 v = memo.get(ci * width + cj)
-                if v is None:
-                    pending = (ci, cj)
-                    break
                 if not v:
-                    coupled = False
                     break
                 ci, cj = s_ends[ci], t_ends[cj]
-            if pending is not None:
-                stack.append(pending)
-                continue
-            if coupled:
+            else:
                 memo[key] = True
                 stack.pop()
                 continue
-        dived = False
+            if v is None:
+                stack.append((ci, cj))
+                continue
         cj = j + 1
         while cj < ej:
             v = memo.get(i * width + cj)
-            if v is None:
-                pending = (i, cj)
-                break
-            if v:
-                dived = True
+            if v is not False:
                 break
             cj = t_ends[cj]
-        if pending is not None:
-            stack.append(pending)
+        else:
+            memo[key] = False
+            stack.pop()
             continue
-        memo[key] = dived
+        if v is None:
+            stack.append((i, cj))
+            continue
+        memo[key] = True
         stack.pop()
     return memo[0]
 

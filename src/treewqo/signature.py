@@ -7,15 +7,15 @@ children of every node must equal its constructor's declared arity.
 
 A tree has one of two backings and one identity, its preorder codes.
 Only `Tree()` makes a node-backed tree: it checks arity and signature,
-holds the children and walks them to its codes on first use.  Every
-other tree the package makes, from `parse_tree`, the generator or
+holds the children and walks them to its codes on first use, taking
+whole the codes of a subtree that already has them.  Every other tree
+the package makes, from `parse_tree`, the generator or
 `monotone_stream`, is code-backed, made by `_coded` from its preorder
-codes.  Its children are built once, on first access, by one
-`_build` call, which shares one leaf per nullary constructor within that
-call only; no push of a named order, no census and no rendering reads
-them.  Each root eagerly carries size and packed bag: `_fill` defines
-them for nodes, and the makers of code-backed trees pass them with the
-codes.
+codes.  Its children are built once, on first access, by one `_build`
+call, which shares one leaf per nullary constructor within that call
+only; no push of a named order, no census and no rendering reads them.
+Each root eagerly carries size and packed bag: `_fill` defines them for
+nodes, and the makers of code-backed trees pass them with the codes.
 
 Arities are fixed, so equal codes mean equal trees over one signature.
 A tree hashes as its `pre` tuple and compares its bag, then its codes,
@@ -323,6 +323,9 @@ class Tree:
             stack = [self]
             while stack:
                 node = stack.pop()
+                if node._pre is not None:
+                    codes += node._pre  # a code-backed or walked subtree
+                    continue
                 codes.append(node.root)
                 if node.children:
                     stack += node.children[::-1]

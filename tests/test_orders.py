@@ -186,6 +186,16 @@ class TestBaseRelations:
         assert not rel_embed(s, t) and not naive_embeds(s, t)
         assert s._ends is None and t._ends is None
 
+    @pytest.mark.parametrize("left, right", [
+        ("b(a)", "c(a,a)"),  # smaller, but its bag lacks b: B refuses
+        ("c(b(a),a)", "b(b(a))"),  # larger: B refuses, as H implies S
+    ])
+    def test_embed_refuses_by_bag_before_spans(self, sig, left, right):
+        s, t = parse_tree(left, sig), parse_tree(right, sig)
+        assert not rel_bag(s, t)
+        assert not rel_embed(s, t) and not naive_embeds(s, t)
+        assert s._ends is None and t._ends is None
+
     def test_embed_deep_trees(self, sig):
         shallow = parse_tree("b(" * 2000 + "a" + ")" * 2000, sig)
         deep = parse_tree("b(" * 3000 + "a" + ")" * 3000, sig)

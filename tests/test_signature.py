@@ -627,6 +627,21 @@ def test_rendering_parsed_trees_builds_no_node(monkeypatch, tmp_path, sig):
     assert all(t._eul is None for t in trees)
 
 
+def test_node_backed_tree_walks_no_node_of_parsed_subtrees(monkeypatch, sig):
+    # a node-backed tree over a parsed child takes the child's codes whole
+    a = parse_tree("c(b(a),d(a,a,a))", sig)
+
+    def refuse(*args):
+        raise AssertionError("walking a node-backed tree built nodes of a parsed child")
+
+    monkeypatch.setattr(signature, "_build", refuse)
+    t = Tree(sig, 1, [a])
+    text = "b(c(b(a),d(a,a,a)))"
+    parsed = parse_tree(text, sig)
+    assert hash(t) == hash(parsed) and t == parsed
+    assert render_tree(t) == text
+
+
 def test_tables_do_not_grow_with_arity():
     # the Signature tables hold a few entries per constructor, so a huge
     # arity costs nothing to parse, render or walk with; no census here,
