@@ -35,7 +35,6 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 
 from .orders import WqoSpec
@@ -92,11 +91,11 @@ class BenchReport:
     wqo: str
     n: int
     tree_size: int
-    # (checker, stream length, CPU seconds, whistles observed)
-    rows: list[tuple[str, int, float, int]] = field(default_factory=list)
+    # (checker, stream length, CPU seconds, whistles observed, comparisons made)
+    rows: list[tuple[str, int, float, int, int]] = field(default_factory=list)
 
     def seconds(self, checker: str, length: int) -> float:
-        for c, l, secs, _ in self.rows:
+        for c, l, secs, _, _ in self.rows:
             if c == checker and l == length:
                 return secs
         raise KeyError((checker, length))
@@ -106,16 +105,17 @@ class BenchReport:
 
     def to_tsv(self) -> str:
         lines = [f"# wqo={self.wqo}\tn={self.n}\ttree_size={self.tree_size}",
-                 "checker\tstream_len\tseconds\twhistles"]
-        for c, l, secs, wh in self.rows:
-            lines.append(f"{c}\t{l}\t{secs:.6f}\t{wh}")
+                 "checker\tstream_len\tseconds\twhistles\tcomparisons"]
+        for c, l, secs, wh, comps in self.rows:
+            lines.append(f"{c}\t{l}\t{secs:.6f}\t{wh}\t{comps}")
         return "\n".join(lines) + "\n"
 
 
-def _interleaved_runs(make_checker, stream: list[Tree]) -> list[tuple[float, int]]:
-    """(seconds, whistles) of the first half of `stream` and of all of it,
-    each pushed into a fresh checker from `make_checker`, interleaved."""
-    pushes = (make_checker().push, make_checker().push)
+def _interleaved_runs(checkers, stream: list[Tree]) -> list[tuple[float, int]]:
+    """(seconds, whistles) of the first half of `stream` pushed into the
+    first of two fresh checkers and of all of it into the second,
+    interleaved."""
+    pushes = [checker.push for checker in checkers]
     secs, whistles = [0.0, 0.0], [0, 0]
     enabled = gc.isenabled()
     gc.disable()
@@ -143,6 +143,8 @@ def bench_whistle(spec: WqoSpec, n: int, tree_size: int = 50,
     if n == 0:
         return report
     for label, checker in (("optimized", SequenceChecker), ("naive", NaiveChecker)):
-        runs = _interleaved_runs(partial(checker, spec), stream)
-        report.rows += [(label, length, *run) for length, run in zip((n, 2 * n), runs)]
+        checkers = (checker(spec), checker(spec))
+        runs = _interleaved_runs(checkers, stream)
+        report.rows += [(label, length, *run, chk.comparisons)
+                        for length, run, chk in zip((n, 2 * n), runs, checkers)]
     return report

@@ -24,6 +24,9 @@ stream of distinct bags hashes no tree.  A partition keeps its members in
 non-increasing size order beside a column of their negated sizes, so one
 `bisect_right` over the column finds both the candidates, the strictly
 smaller tail, and where t goes if admitted, after the trees of its size.
+An admitted tree is kept once, as one `(pos, t)` entry: its partition
+holds it, and the first table holds that same entry when the tree is
+the first of its value.
 The candidates are checked smallest first, among equal sizes the newest
 first, against the rest of the spec (less `Z`, `Y` and `S`), at most one
 letter of the chain `B`, `P`, `E`, `H`, whose kernel is called directly;
@@ -31,7 +34,7 @@ when nothing is left, any candidate is a witness.
 
 `NaiveChecker` is the differential-testing reference: both checkers must
 whistle at identical positions on identical streams, though the reported
-witness may differ.
+witness may differ.  Only it lists the admitted trees, as `admitted`.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from .orders import KEY_LETTERS, WqoSpec, base_relation, conjunction, implies, p
 from .signature import Signature, Tree
 
 __all__ = ["PushOutcome", "SequenceChecker", "NaiveChecker"]
+
+# builds a PushOutcome without the named tuple's Python-level __new__
+_new_tuple = tuple.__new__
 
 
 class PushOutcome(NamedTuple):
@@ -61,7 +67,7 @@ class PushOutcome(NamedTuple):
 
 
 class _CheckerBase:
-    """Shared bookkeeping: positions, admitted list, signature pinning."""
+    """Shared bookkeeping: positions, comparisons, signature pinning."""
 
     def __init__(self, spec: WqoSpec):
         self.spec = spec
@@ -70,7 +76,6 @@ class _CheckerBase:
     def reset(self) -> None:
         self.sig: Signature | None = None
         self.position = 0
-        self.admitted: list[tuple[int, Tree]] = []
         self.comparisons = 0  # pairwise relation evaluations performed
 
     def _enter(self, t: Tree) -> None:
@@ -93,11 +98,16 @@ def _scan(entries, t, related):
 
 class NaiveChecker(_CheckerBase):
     """Reference checker: compare the new element to every admitted one,
-    in order, with the combined relation."""
+    in order, with the combined relation.  `admitted` lists the
+    `(position, tree)` of every admitted push, in push order."""
 
     def __init__(self, spec: WqoSpec):
         self._related = conjunction(spec)
         super().__init__(spec)
+
+    def reset(self) -> None:
+        super().reset()
+        self.admitted: list[tuple[int, Tree]] = []
 
     def push(self, t: Tree) -> PushOutcome:
         self._enter(t)
@@ -127,7 +137,7 @@ class SequenceChecker(_CheckerBase):
         super().reset()
         # key -> (negated sizes ascending, the (pos, tree) members in that order)
         self._partitions: dict = {}
-        # the bag (else key) -> (pos, tree) of its first admitted tree
+        # the bag (else key) -> the partition entry of its first admitted tree
         self._seen: dict = {}
         # under S: tree -> pos, for the later trees of a bag in _seen
         self._later: dict = {}
@@ -161,12 +171,11 @@ class SequenceChecker(_CheckerBase):
             self.comparisons += scanned
             if witness is not None:
                 return PushOutcome(pos, True, witness)
+        entry = (pos, t)
         sizes.insert(i, neg)
-        members.insert(i, (pos, t))
+        members.insert(i, entry)
         if first is None:
-            self._seen[shared] = (pos, t)
+            self._seen[shared] = entry
         else:
             self._later[t] = pos
-        self.admitted.append((pos, t))
-        # the admit path's outcome without the named tuple's Python-level __new__
-        return tuple.__new__(PushOutcome, (pos, False, None))
+        return _new_tuple(PushOutcome, (pos, False, None))

@@ -75,11 +75,14 @@ class TestBenchReport:
 
     def test_report_shape(self):
         rep = bench_whistle(parse_wqo_name("S"), 50, 20)
-        # a checker's two lengths next to each other, n before 2n
-        assert [(c, l) for c, l, _, _ in rep.rows] == [
-            ("optimized", 50), ("optimized", 100), ("naive", 50), ("naive", 100)]
-        assert all(secs >= 0 for _, _, secs, _ in rep.rows)
-        assert all(wh == 0 for _, _, _, wh in rep.rows)
+        # a checker's two lengths next to each other, n before 2n; on the
+        # all-admitted stream of length m the naive run compares every pair,
+        # m(m - 1)/2, and the optimized S run finds no candidate
+        assert [(c, l, comps) for c, l, _, _, comps in rep.rows] == [
+            ("optimized", 50, 0), ("optimized", 100, 0),
+            ("naive", 50, 50 * 49 // 2), ("naive", 100, 100 * 99 // 2)]
+        assert all(secs >= 0 for _, _, secs, _, _ in rep.rows)
+        assert all(wh == 0 for _, _, _, wh, _ in rep.rows)
 
     @pytest.mark.parametrize("n, size, message", [
         (2.5, 10, "stream length is not an int: 2.5"),
@@ -94,8 +97,9 @@ class TestBenchReport:
         rep = bench_whistle(parse_wqo_name("M"), 20, 15)
         lines = rep.to_tsv().splitlines()
         assert lines[0].startswith("# wqo=M")
-        assert lines[1] == "checker\tstream_len\tseconds\twhistles"
+        assert lines[1] == "checker\tstream_len\tseconds\twhistles\tcomparisons"
         assert len(lines) == 6
+        assert lines[-1].endswith(f"\t{40 * 39 // 2}")
 
     @pytest.mark.parametrize("name", ["SB", "P", "E", "H", "ZP", "YZH",
                                       "B", "ZB", "YB", "YZB"])
@@ -126,7 +130,7 @@ class TestGarbageCollector:
                 return self.checker.push(t)
 
         assert gc.isenabled()
-        runs = _interleaved_runs(Stub, monotone_stream(sig, 4, 5))
+        runs = _interleaved_runs((Stub(), Stub()), monotone_stream(sig, 4, 5))
         assert len(seen) == 6 and not any(seen)
         assert [whistles for _, whistles in runs] == [0, 0]
         assert gc.isenabled()
@@ -162,7 +166,7 @@ class TestInterleavedPass:
                 return PushOutcome(self.pushes - 1, t % 3 == 0)
 
         monkeypatch.setattr(time, "thread_time", lambda: clock[0])
-        return _interleaved_runs(Stub, list(range(2 * n))), log
+        return _interleaved_runs((Stub(), Stub()), list(range(2 * n))), log
 
     def test_time_asleep_in_a_push_is_not_counted(self, sig):
         made = []
@@ -180,7 +184,7 @@ class TestInterleavedPass:
                     time.sleep(0.02)
                 return self.checker.push(t)
 
-        runs = _interleaved_runs(Stub, monotone_stream(sig, 4, 5))
+        runs = _interleaved_runs((Stub(), Stub()), monotone_stream(sig, 4, 5))
         assert made[0].slept
         assert runs[0][0] < 0.01
 

@@ -179,9 +179,10 @@ class TestDifferential:
             for t in stream:
                 a, b = fast.push(t), slow.push(t)
                 assert a.whistled == b.whistled, (name, i, a, b)
-                for out, chk in ((a, fast), (b, slow)):
+                for out in (a, b):
                     if out.whistled:
-                        witness_tree = dict(chk.admitted)[out.witness]
+                        # positions count pushes, so a witness indexes the stream
+                        witness_tree = stream[out.witness]
                         assert out.witness < out.position
                         assert rel(spec, witness_tree, t)
 
@@ -189,12 +190,30 @@ class TestDifferential:
     def test_admitted_sets_are_antichains(self, sig, name):
         spec = parse_wqo_name(name)
         chk = SequenceChecker(spec)
-        for t in random_stream(sig, 4242, 120):
-            chk.push(t)
-        admitted = chk.admitted
+        admitted = [t for t in random_stream(sig, 4242, 120) if chk.push(t).admitted]
         for i in range(len(admitted)):
             for j in range(i + 1, len(admitted)):
-                assert not rel(spec, admitted[i][1], admitted[j][1])
+                assert not rel(spec, admitted[i], admitted[j])
+
+    @pytest.mark.parametrize("name", ["S", "M", "Z", "YZP"])
+    def test_each_admitted_tree_kept_once(self, sig, name):
+        # the first table shares its entries with the partitions, and
+        # only the naive reference lists the admitted trees
+        spec = parse_wqo_name(name)
+        fast, slow = SequenceChecker(spec), NaiveChecker(spec)
+        stream = random_stream(sig, 4242, 120)
+        outs = []
+        for t in stream:
+            fast.push(t)
+            outs.append(slow.push(t))
+        members = [m for _, ms in fast._partitions.values() for m in ms]
+        assert fast._seen
+        for entry in fast._seen.values():
+            assert any(m is entry for m in members)
+        assert not hasattr(fast, "admitted")
+        assert slow.admitted == [(o.position, t) for o, t in zip(outs, stream) if o.admitted]
+        slow.reset()
+        assert slow.admitted == []
 
 
 class TestAccelerationStructure:
